@@ -133,4 +133,15 @@ varOfRank(const std::string& rank)
     return out;
 }
 
+std::string
+baseOfDerived(const std::string& rank)
+{
+    std::string base = rank;
+    while (!base.empty() &&
+           std::isdigit(static_cast<unsigned char>(base.back()))) {
+        base.pop_back();
+    }
+    return base;
+}
+
 } // namespace teaal::einsum

@@ -117,4 +117,8 @@ std::string rankOfVar(const std::string& var);
 /** Inverse of rankOfVar. */
 std::string varOfRank(const std::string& rank);
 
+/** The rank a partition-derived rank came from: strip trailing digits
+ *  (K0 -> K, KM2 -> KM, MK01 -> MK0). */
+std::string baseOfDerived(const std::string& rank);
+
 } // namespace teaal::einsum

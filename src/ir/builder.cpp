@@ -7,10 +7,13 @@
  *                    groups, probe ranks, spacetime, and the output's
  *                    declared storage order; surface specification
  *                    inconsistencies before any data exists.
- *   instantiatePlan  bind a recipe to real tensors: prepare
+ *   instantiatePlan  bind a recipe to a BindingSource: prepare
  *                    (partition/flatten/swizzle) each input, derive
  *                    rank shapes and dense extents, and select
  *                    co-iteration strategies from occupancy hints.
+ *                    The trace tier binds live tensors (TensorSource
+ *                    below); the analytic tier binds tensor
+ *                    statistics (model/analytic/estimator.cpp).
  *
  * buildPlan composes the two for white-box tests and tools; the
  * pipeline (compiler::CompiledModel) caches recipes at compile time
@@ -18,6 +21,7 @@
  */
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <set>
@@ -37,22 +41,11 @@ namespace teaal::ir
 namespace
 {
 
+using einsum::baseOfDerived;
 using einsum::IndexExpr;
 using einsum::TensorRef;
 using mapping::PartitionDirective;
 using mapping::RankPartitioning;
-
-/** Strip trailing digits: K0 -> K, KM2 -> KM, MK01 -> MK0. */
-std::string
-baseOfDerived(const std::string& rank)
-{
-    std::string base = rank;
-    while (!base.empty() &&
-           std::isdigit(static_cast<unsigned char>(base.back()))) {
-        base.pop_back();
-    }
-    return base;
-}
 
 std::vector<RecipeGroup>
 analyzeGroups(const mapping::EinsumMapping& em, const std::string& text)
@@ -146,51 +139,24 @@ adjacentOrder(const std::vector<std::string>& ids,
     return target;
 }
 
-/**
- * One input tensor being prepared: starts as a borrowed source and
- * becomes owned at the first transform, so inputs that need no
- * preparation are never deep-copied.
- */
-class Preparing
+/** Rank ids of @p ranks, in order. */
+std::vector<std::string>
+idsOf(const std::vector<ft::RankInfo>& ranks)
 {
-  public:
-    explicit Preparing(const ft::Tensor* src) : src_(src) {}
-
-    const ft::Tensor& get() const { return owned_ ? work_ : *src_; }
-
-    void
-    replace(ft::Tensor t)
-    {
-        work_ = std::move(t);
-        owned_ = true;
-    }
-
-    bool owned() const { return owned_; }
-
-    /** Surrender ownership; deep-clones or fiber-shares if borrowed. */
-    ft::Tensor
-    take(bool share_unprepared)
-    {
-        if (owned_)
-            return std::move(work_);
-        // A plain Tensor copy shares the fiber tree (fibers are
-        // shared_ptrs); execution never mutates input trees.
-        return share_unprepared ? *src_ : src_->clone();
-    }
-
-  private:
-    const ft::Tensor* src_;
-    ft::Tensor work_;
-    bool owned_ = false;
-};
+    std::vector<std::string> ids;
+    ids.reserve(ranks.size());
+    for (const ft::RankInfo& ri : ranks)
+        ids.push_back(ri.id);
+    return ids;
+}
 
 /**
  * What a partitioning group does to one tensor: transforms it
  * (flatten/split applied in place), dynamically follows it (occupancy
  * non-leader: Slice actions, no transform), or leaves it alone. The
  * single source of truth for group applicability — the packed
- * fast-path eligibility scan and the legacy preparation loop both
- * dispatch on it, so they cannot diverge.
+ * fast-path eligibility scan and the preparation loop both dispatch
+ * on it, so they cannot diverge.
  */
 enum class GroupEffect
 {
@@ -199,11 +165,13 @@ enum class GroupEffect
     Follow,
 };
 
-template <typename HasRank>
 GroupEffect
-groupEffect(const RecipeGroup& g, HasRank&& has_rank,
+groupEffect(const RecipeGroup& g, const std::vector<std::string>& ids,
             const std::string& tensor_name)
 {
+    const auto has_rank = [&](const std::string& r) {
+        return std::find(ids.begin(), ids.end(), r) != ids.end();
+    };
     if (g.hasFlatten) {
         // All constituents present: the tensor is swizzled-adjacent,
         // flattened, and split. Partial constituents use lookups at
@@ -225,23 +193,196 @@ groupEffect(const RecipeGroup& g, HasRank&& has_rank,
  * producing ranks named info.results top-down.
  */
 void
-applySplits(Preparing& t, const RecipeGroup& info)
+applySplits(BindingSource::Input& t, const RecipeGroup& info)
 {
     const std::size_t k = info.splits.size();
     for (std::size_t i = 0; i < k; ++i) {
-        const std::string upper = info.results[i];
         const std::string lower =
             i + 1 == k ? info.results[k] : info.base;
-        const PartitionDirective& d = info.splits[i];
-        if (d.kind == PartitionDirective::Kind::UniformShape) {
-            t.replace(ft::splitRankByShape(t.get(), info.base, d.tile,
-                                           upper, lower));
-        } else {
-            t.replace(ft::splitRankByOccupancy(t.get(), info.base,
-                                               d.chunk, upper, lower));
-        }
+        t.split(info.base, info.splits[i], info.results[i], lower);
     }
 }
+
+/**
+ * One live tensor being prepared: starts as a borrowed source and
+ * becomes owned at the first transform, so inputs that need no
+ * preparation are never deep-copied.
+ */
+class TensorInput final : public BindingSource::Input
+{
+  public:
+    TensorInput(const ft::Tensor* src, bool share_unprepared)
+        : src_(src), share_(share_unprepared)
+    {
+    }
+
+    TensorInput(ft::Tensor owned, bool share_unprepared)
+        : src_(nullptr), work_(std::move(owned)), owned_(true),
+          share_(share_unprepared)
+    {
+    }
+
+    const std::vector<ft::RankInfo>&
+    ranks() const override
+    {
+        return get().ranks();
+    }
+
+    void
+    swizzle(const std::vector<std::string>& order) override
+    {
+        replace(ft::swizzle(get(), order));
+    }
+
+    void
+    flatten(const std::string& upper, const std::string& lower) override
+    {
+        replace(ft::flattenRanks(get(), upper, lower));
+    }
+
+    void
+    split(const std::string& rank, const PartitionDirective& d,
+          const std::string& upper, const std::string& lower) override
+    {
+        replace(d.kind == PartitionDirective::Kind::UniformShape
+                    ? ft::splitRankByShape(get(), rank, d.tile, upper,
+                                           lower)
+                    : ft::splitRankByOccupancy(get(), rank, d.chunk,
+                                               upper, lower));
+    }
+
+    std::vector<double>
+    countsByDepth() const override
+    {
+        std::vector<std::size_t> counts;
+        get().root()->elementCountsByDepth(counts);
+        return {counts.begin(), counts.end()};
+    }
+
+    double nnz() const override { return static_cast<double>(get().nnz()); }
+
+    std::vector<double>
+    occupancyHints() const override
+    {
+        return get().occupancyHints();
+    }
+
+    void
+    finish(TensorPlan& tp) override
+    {
+        if (owned_) {
+            tp.prepared = std::move(work_);
+            return;
+        }
+        // A plain Tensor copy shares the fiber tree (fibers are
+        // shared_ptrs); execution never mutates input trees.
+        tp.prepared = share_ ? *src_ : src_->clone();
+    }
+
+  private:
+    const ft::Tensor& get() const { return owned_ ? work_ : *src_; }
+
+    void
+    replace(ft::Tensor t)
+    {
+        work_ = std::move(t);
+        owned_ = true;
+    }
+
+    const ft::Tensor* src_;
+    ft::Tensor work_;
+    bool owned_ = false;
+    bool share_;
+};
+
+/** The trace tier's binding source: live pointer and packed tensors. */
+class TensorSource final : public BindingSource
+{
+  public:
+    TensorSource(const std::string& einsum_text,
+                 const TensorRefMap& tensors, const PackedRefMap& packed,
+                 bool share_unprepared,
+                 std::map<std::string, ft::Tensor>* unpack_cache)
+        : text_(einsum_text), tensors_(tensors), packed_(packed),
+          share_(share_unprepared), unpackCache_(unpack_cache)
+    {
+    }
+
+    void
+    forEachTensor(const std::function<void(
+                      const std::string&,
+                      const std::vector<ft::RankInfo>&)>& visit)
+        const override
+    {
+        for (const auto& [name, tensor] : tensors_)
+            visit(name, tensor->ranks());
+        for (const auto& [name, pk] : packed_)
+            visit(name, pk->ranks());
+    }
+
+    const std::vector<ft::RankInfo>*
+    packedRanks(const std::string& name) const override
+    {
+        const auto pit = packed_.find(name);
+        if (pit != packed_.end())
+            return &pit->second->ranks();
+        if (tensors_.count(name) == 0)
+            noData(name);
+        return nullptr;
+    }
+
+    std::vector<double>
+    bindPacked(const std::string& name, TensorPlan& tp) override
+    {
+        const std::shared_ptr<const storage::PackedTensor>& pk =
+            packed_.at(name);
+        tp.packed = pk;
+        // Rank-skeleton placeholder: the model reads rank metadata
+        // off `prepared`; no fiber data exists.
+        tp.prepared = ft::Tensor(name, pk->ranks());
+        // Hints off the buffer lengths are bit-identical to the
+        // unpacked tree's, so strategy selection (and every modeled
+        // count) is backend-independent.
+        return pk->occupancyHints();
+    }
+
+    std::unique_ptr<Input>
+    open(const std::string& name) override
+    {
+        const auto it = tensors_.find(name);
+        if (it != tensors_.end())
+            return std::make_unique<TensorInput>(it->second, share_);
+        const auto pit = packed_.find(name);
+        if (pit == packed_.end())
+            noData(name);
+        // A packed input that needs preparation is unpacked — through
+        // the caller's memo when one is provided, so a tensor is
+        // unpacked at most once per workload, not once per slot and
+        // Einsum.
+        if (unpackCache_ == nullptr)
+            return std::make_unique<TensorInput>(pit->second->toTensor(),
+                                                 share_);
+        auto cit = unpackCache_->find(name);
+        if (cit == unpackCache_->end())
+            cit = unpackCache_->emplace(name, pit->second->toTensor())
+                      .first;
+        return std::make_unique<TensorInput>(&cit->second, share_);
+    }
+
+  private:
+    [[noreturn]] void
+    noData(const std::string& name) const
+    {
+        specError("einsum '", text_, "': tensor '", name,
+                  "' has no data");
+    }
+
+    const std::string& text_;
+    const TensorRefMap& tensors_;
+    const PackedRefMap& packed_;
+    bool share_;
+    std::map<std::string, ft::Tensor>* unpackCache_;
+};
 
 } // namespace
 
@@ -405,26 +546,9 @@ analyzeEinsum(const einsum::Expression& expr,
 
 EinsumPlan
 instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
-                const TensorRefMap& tensors,
-                const std::vector<std::string>& intermediates,
-                bool share_unprepared, const PackedRefMap& packed,
-                std::map<std::string, ft::Tensor>* unpack_cache)
+                BindingSource& source,
+                const std::vector<std::string>& intermediates)
 {
-    // Materialize a packed input for the legacy path — through the
-    // caller's memo when one is provided, so a tensor is unpacked at
-    // most once per workload, not once per slot and Einsum.
-    auto unpack = [&](const std::string& name,
-                      const storage::PackedTensor& pk,
-                      ft::Tensor& local) -> const ft::Tensor* {
-        if (unpack_cache == nullptr) {
-            local = pk.toTensor();
-            return &local;
-        }
-        auto it = unpack_cache->find(name);
-        if (it == unpack_cache->end())
-            it = unpack_cache->emplace(name, pk.toTensor()).first;
-        return &it->second;
-    };
     const einsum::Expression& expr = recipe.expr;
 
     EinsumPlan plan;
@@ -436,23 +560,9 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
         TensorPlan tp;
         tp.name = expr.inputs[0].name;
         tp.exprInput = 0;
-        const auto it = tensors.find(tp.name);
-        const auto pit = packed.find(tp.name);
-        if (it == tensors.end() && pit == packed.end())
-            specError("einsum '", expr.text, "': tensor '", tp.name,
-                      "' has no data");
-        if (it != tensors.end()) {
-            Preparing prep(it->second);
-            tp.prepared = prep.take(share_unprepared);
-        } else {
-            // Whole-tensor copies clone the source; unpack it.
-            ft::Tensor local;
-            Preparing prep(unpack(tp.name, *pit->second, local));
-            tp.prepared = prep.take(share_unprepared);
-        }
+        source.open(tp.name)->finish(tp);
         plan.inputs.push_back(std::move(tp));
         plan.output.name = expr.output.name;
-        plan.shard = analyzeSharding(plan);
         return plan;
     }
 
@@ -476,10 +586,7 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                     std::max(rank_shape[ri.id], ri.shape);
         }
     };
-    for (const auto& [name, tensor] : tensors)
-        note_shapes(name, tensor->ranks());
-    for (const auto& [name, pk] : packed)
-        note_shapes(name, pk->ranks());
+    source.forEachTensor(note_shapes);
 
     // Shape of each iteration variable's rank. The visiting set guards
     // against mutually-underconstrained affine shapes (T[q,s]=I[q+s]
@@ -691,14 +798,11 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
         IndexExpr expr;
     };
 
+    std::vector<std::vector<double>> input_hints;
     for (std::size_t slot = 0; slot < expr.inputs.size(); ++slot) {
         const TensorRef& ref = expr.inputs[slot];
-        const auto tit = tensors.find(ref.name);
-        const auto pit = packed.find(ref.name);
-        const bool have_packed = pit != packed.end();
-        if (tit == tensors.end() && !have_packed)
-            specError("einsum '", expr.text, "': tensor '", ref.name,
-                      "' has no data");
+        const std::vector<ft::RankInfo>* packed_ranks =
+            source.packedRanks(ref.name);
         const auto decl_it = spec.declaration.find(ref.name);
         if (decl_it == spec.declaration.end())
             specError("einsum '", expr.text, "': undeclared tensor '",
@@ -821,23 +925,19 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
             };
 
         std::vector<PendingAction> pending;
+        std::vector<double> hints;
 
         // ---- packed fast path: bind the packed rank store directly
         // when no partitioning transform touches this tensor and its
         // rank order is already concordant — zero fibertree
         // construction, the engine walks the packed buffers.
-        if (have_packed && tp.packed == nullptr) {
-            const std::shared_ptr<const storage::PackedTensor>& pk =
-                pit->second;
-            const auto pk_ids = pk->rankIds();
-            const auto pk_has = [&](const std::string& r) {
-                return std::find(pk_ids.begin(), pk_ids.end(), r) !=
-                       pk_ids.end();
-            };
+        bool bound = false;
+        if (packed_ranks != nullptr) {
+            const auto pk_ids = idsOf(*packed_ranks);
             bool transforms = false;
             std::vector<const RecipeGroup*> pk_followers;
             for (const RecipeGroup& g : groups) {
-                switch (groupEffect(g, pk_has, ref.name)) {
+                switch (groupEffect(g, pk_ids, ref.name)) {
                   case GroupEffect::Transform:
                     transforms = true;
                     break;
@@ -849,29 +949,21 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 }
             }
             if (!transforms) {
-                pending = compute_pending(pk->ranks(), pk_followers);
+                pending = compute_pending(*packed_ranks, pk_followers);
                 if (required_of(pending) == pk_ids) {
-                    tp.packed = pk;
-                    // Rank-skeleton placeholder: the model reads rank
-                    // metadata off `prepared`; no fiber data exists.
-                    tp.prepared = ft::Tensor(ref.name, pk->ranks());
+                    hints = source.bindPacked(ref.name, tp);
+                    bound = true;
                 } else {
                     pending.clear();
                 }
             }
         }
 
-        // ---- legacy pointer path (packed inputs that need
-        // preparation are unpacked here, memoized per workload).
-        ft::Tensor unpacked;
-        if (tp.packed == nullptr) {
-            const ft::Tensor* src;
-            if (tit != tensors.end()) {
-                src = tit->second;
-            } else {
-                src = unpack(ref.name, *pit->second, unpacked);
-            }
-            Preparing prep(src);
+        // ---- preparation path (packed inputs that need preparation
+        // are unpacked by the source).
+        if (!bound) {
+            const std::unique_ptr<BindingSource::Input> in =
+                source.open(ref.name);
 
             // Dynamic-follower groups for this tensor.
             std::vector<const RecipeGroup*> follower_of;
@@ -879,28 +971,24 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
             // Apply partitioning groups in order (same applicability
             // predicate the packed eligibility scan used).
             for (const RecipeGroup& g : groups) {
-                const auto has_rank = [&](const std::string& r) {
-                    return prep.get().rankLevel(r) >= 0;
-                };
-                switch (groupEffect(g, has_rank, ref.name)) {
+                switch (groupEffect(g, idsOf(in->ranks()), ref.name)) {
                   case GroupEffect::Transform:
                     if (g.hasFlatten) {
                         const auto& src_ranks = g.sourceRanks;
-                        const auto target = adjacentOrder(
-                            prep.get().rankIds(), src_ranks);
-                        if (target != prep.get().rankIds())
-                            prep.replace(ft::swizzle(prep.get(), target));
+                        const auto ids = idsOf(in->ranks());
+                        const auto target = adjacentOrder(ids, src_ranks);
+                        if (target != ids)
+                            in->swizzle(target);
                         // Flatten pairwise left-to-right.
                         std::string upper = src_ranks[0];
                         for (std::size_t i = 1; i < src_ranks.size();
                              ++i) {
-                            prep.replace(ft::flattenRanks(
-                                prep.get(), upper, src_ranks[i]));
+                            in->flatten(upper, src_ranks[i]);
                             upper += src_ranks[i];
                         }
                         TEAAL_ASSERT(upper == g.base, "flatten naming");
                     }
-                    applySplits(prep, g);
+                    applySplits(*in, g);
                     break;
                   case GroupEffect::Follow:
                     follower_of.push_back(&g);
@@ -912,14 +1000,14 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 }
             }
 
-            pending = compute_pending(prep.get().ranks(), follower_of);
+            pending = compute_pending(in->ranks(), follower_of);
             const std::vector<std::string> required =
                 required_of(pending);
-            if (required != prep.get().rankIds()) {
+            const std::vector<std::string> old_ids = idsOf(in->ranks());
+            if (required != old_ids) {
                 // Estimate merger "ways" before destroying the old
                 // order: occupancy of the shallowest rank moving deeper.
                 std::size_t ways = 2;
-                const auto old_ids = prep.get().rankIds();
                 for (std::size_t lvl = 0; lvl < old_ids.size(); ++lvl) {
                     const auto npos =
                         std::find(required.begin(), required.end(),
@@ -927,13 +1015,17 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                     const std::size_t new_lvl = static_cast<std::size_t>(
                         npos - required.begin());
                     if (new_lvl > lvl) {
-                        std::vector<std::size_t> counts;
-                        prep.get().root()->elementCountsByDepth(counts);
-                        std::size_t fibers_above =
-                            lvl == 0 ? 1 : counts[lvl - 1];
-                        if (fibers_above > 0 && counts.size() > lvl)
-                            ways = std::max<std::size_t>(
-                                2, counts[lvl] / fibers_above + 1);
+                        const std::vector<double> counts =
+                            in->countsByDepth();
+                        if (lvl < counts.size()) {
+                            const double fibers_above =
+                                lvl == 0 ? 1.0 : counts[lvl - 1];
+                            if (fibers_above > 0)
+                                ways = std::max<std::size_t>(
+                                    2, static_cast<std::size_t>(
+                                           counts[lvl] / fibers_above) +
+                                           1);
+                        }
                         break;
                     }
                 }
@@ -941,12 +1033,14 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                 tp.swizzleOnline =
                     std::find(intermediates.begin(), intermediates.end(),
                               ref.name) != intermediates.end();
-                tp.swizzleElements = prep.get().nnz();
+                tp.swizzleElements =
+                    static_cast<std::size_t>(std::llround(in->nnz()));
                 tp.swizzleWays = ways;
-                prep.replace(ft::swizzle(prep.get(), required));
+                in->swizzle(required);
             }
 
-            tp.prepared = prep.take(share_unprepared);
+            hints = in->occupancyHints();
+            in->finish(tp);
         }
 
         // Materialize final actions with post-swizzle levels.
@@ -973,24 +1067,15 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
                   });
 
         plan.inputs.push_back(std::move(tp));
+        input_hints.push_back(std::move(hints));
     }
 
     // Dense extents and co-iteration strategies: ranks binding
     // variables with no co-iterating driver iterate the variable's
     // shape range (DenseDrive); intersections of two drivers with
     // strongly skewed occupancy hints plan the galloping walk.
-    // Occupancy hints are gathered once per input (one O(nnz)
+    // Occupancy hints were gathered once per input (one O(nnz)
     // traversal each); every per-level occupancy below indexes them.
-    std::vector<std::vector<double>> input_hints;
-    input_hints.reserve(plan.inputs.size());
-    for (const TensorPlan& tp : plan.inputs) {
-        // Packed inputs report hints off their buffer lengths —
-        // bit-identical to the unpacked tree's, so strategy selection
-        // (and therefore every modeled count) is backend-independent.
-        input_hints.push_back(tp.packed != nullptr
-                                  ? tp.packed->occupancyHints()
-                                  : tp.prepared.occupancyHints());
-    }
     for (std::size_t i = 0; i < plan.loops.size(); ++i) {
         LoopRank& lr = plan.loops[i];
         std::vector<double> occupancies;
@@ -1117,7 +1202,19 @@ instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
     }
     out.declaredOrder = recipe.outputDeclaredOrder;
     out.needsReorder = out.productionOrder != out.declaredOrder;
+    return plan;
+}
 
+EinsumPlan
+instantiatePlan(const EinsumRecipe& recipe, const einsum::EinsumSpec& spec,
+                const TensorRefMap& tensors,
+                const std::vector<std::string>& intermediates,
+                bool share_unprepared, const PackedRefMap& packed,
+                std::map<std::string, ft::Tensor>* unpack_cache)
+{
+    TensorSource source(recipe.expr.text, tensors, packed,
+                        share_unprepared, unpack_cache);
+    EinsumPlan plan = instantiatePlan(recipe, spec, source, intermediates);
     plan.shard = analyzeSharding(plan);
     return plan;
 }

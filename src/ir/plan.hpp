@@ -21,6 +21,7 @@
  */
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -340,7 +341,7 @@ struct RecipeGroup
  * The spec-only lowering of one Einsum (paper §4.2): everything the
  * simulator generator can derive from the specification alone, before
  * any workload data exists. `compiler::compile` produces one recipe
- * per Einsum; `instantiatePlan` binds a recipe to real tensors.
+ * per Einsum; `instantiatePlan` binds a recipe to a BindingSource.
  */
 struct EinsumRecipe
 {
@@ -433,9 +434,107 @@ EinsumRecipe analyzeEinsum(const einsum::Expression& expr,
                            const mapping::MappingSpec& map);
 
 /**
- * Stage 2 — instantiate: bind @p recipe to real tensors, producing the
- * executable plan (prepared fibertrees, dense extents, co-iteration
- * strategies from occupancy hints).
+ * Where instantiatePlan reads its inputs from. The planner derives
+ * everything the specification and rank metadata decide — rank and
+ * variable shapes, loop ranks, variable binding points, action
+ * placement, the concordance swizzle, co-iteration strategies, the
+ * output plan — and asks its source only to prepare each input.
+ *
+ * Two sources exist, so both model tiers plan with one code path:
+ * live tensors, pointer or packed (the trace tier; the tensor overload
+ * of instantiatePlan below), and tensor statistics (the analytic tier,
+ * model/analytic/estimator.hpp).
+ */
+class BindingSource
+{
+  public:
+    /**
+     * One input under preparation. It starts as the bound tensor and
+     * every transform replaces it; rank metadata changes exactly as
+     * fibertree/transform.hpp changes it.
+     */
+    class Input
+    {
+      public:
+        Input() = default;
+        Input(const Input&) = delete;
+        Input& operator=(const Input&) = delete;
+        virtual ~Input() = default;
+
+        virtual const std::vector<ft::RankInfo>& ranks() const = 0;
+
+        virtual void swizzle(const std::vector<std::string>& order) = 0;
+
+        /** Merge adjacent ranks @p upper and @p lower into one. */
+        virtual void flatten(const std::string& upper,
+                             const std::string& lower) = 0;
+
+        /** Split @p rank by one uniform_shape / uniform_occupancy
+         *  directive into ranks @p upper and @p lower. */
+        virtual void split(const std::string& rank,
+                           const mapping::PartitionDirective& d,
+                           const std::string& upper,
+                           const std::string& lower) = 0;
+
+        /** Element count at each level, outermost first (the merger
+         *  ways of a concordance swizzle). */
+        virtual std::vector<double> countsByDepth() const = 0;
+
+        virtual double nnz() const = 0;
+
+        /** Per-level occupancy hints (strategy selection). */
+        virtual std::vector<double> occupancyHints() const = 0;
+
+        /** Hand the prepared tensor to @p tp (TensorPlan::prepared). */
+        virtual void finish(TensorPlan& tp) = 0;
+    };
+
+    BindingSource() = default;
+    BindingSource(const BindingSource&) = delete;
+    BindingSource& operator=(const BindingSource&) = delete;
+    virtual ~BindingSource() = default;
+
+    /** Visit the ranks of every live tensor: a rank's shape may only
+     *  be known from a tensor another Einsum of the cascade uses. */
+    virtual void forEachTensor(
+        const std::function<void(const std::string&,
+                                 const std::vector<ft::RankInfo>&)>&
+            visit) const = 0;
+
+    /**
+     * The ranks of @p name when it is a packed store that may bind
+     * as-is (TensorPlan::packed); null when only open() can prepare
+     * it. Throws when @p name has no data.
+     */
+    virtual const std::vector<ft::RankInfo>*
+    packedRanks(const std::string& name) const = 0;
+
+    /** Bind @p name's packed store to @p tp unprepared; returns its
+     *  occupancy hints. */
+    virtual std::vector<double> bindPacked(const std::string& name,
+                                           TensorPlan& tp) = 0;
+
+    /** Start preparing @p name (throws when it has no data). */
+    virtual std::unique_ptr<Input> open(const std::string& name) = 0;
+};
+
+/**
+ * Stage 2 — instantiate: bind @p recipe to the inputs @p source
+ * provides. Everything except EinsumPlan::shard is filled: shard
+ * analysis reads fiber data, so each caller decides it.
+ *
+ * @param intermediates Names of tensors produced by earlier Einsums
+ *                 (their swizzles are online and charged).
+ */
+EinsumPlan instantiatePlan(const EinsumRecipe& recipe,
+                           const einsum::EinsumSpec& spec,
+                           BindingSource& source,
+                           const std::vector<std::string>& intermediates);
+
+/**
+ * Stage 2 over live tensors: the executable plan (prepared
+ * fibertrees, dense extents, co-iteration strategies from occupancy
+ * hints, and the shard plan).
  *
  * @param tensors  Live tensors by name (workload inputs in their
  *                 mapping rank-order plus intermediates built by

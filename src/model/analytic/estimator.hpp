@@ -8,12 +8,15 @@
  *
  * Two stages mirror the trace pipeline:
  *
- *   symbolicInstantiate  the expected-value twin of
- *                        ir::instantiatePlan: binds a cached
- *                        EinsumRecipe to SymbolicTensor statistics and
- *                        produces a skeleton ir::EinsumPlan (rank
- *                        metadata only, no fiber data) plus the
- *                        post-transform statistics of every input.
+ *   symbolicInstantiate  plans with the trace tier's planner
+ *                        (ir::instantiatePlan) over a second binding
+ *                        source: SymbolicTensor statistics instead of
+ *                        tensor data. The result is a skeleton
+ *                        ir::EinsumPlan (rank metadata only, no fiber
+ *                        data) with the same loops, bindings, actions
+ *                        and output plan the trace tier executes,
+ *                        plus the post-transform statistics of every
+ *                        input.
  *   estimateEinsum       the expected-value twin of one engine run:
  *                        walks the loop nest symbolically and fills a
  *                        model::EinsumRecord with the same counter
@@ -48,15 +51,16 @@ struct SymbolicPlan
 };
 
 /**
- * Bind @p recipe to tensor statistics instead of tensor data. Follows
- * ir::instantiatePlan step for step (loop metadata, variable binding,
- * preparation transforms, action placement, strategy selection, output
- * plan), with every data-dependent quantity read from @p stats.
+ * Bind @p recipe to tensor statistics instead of tensor data: one
+ * call into ir::instantiatePlan, with every data-dependent quantity
+ * read from @p stats. @p intermediates names the tensors produced by
+ * earlier Einsums (their swizzles are online and charged).
  */
 SymbolicPlan
 symbolicInstantiate(const ir::EinsumRecipe& recipe,
                     const einsum::EinsumSpec& spec,
-                    const std::map<std::string, SymbolicTensor>& stats);
+                    const std::map<std::string, SymbolicTensor>& stats,
+                    const std::vector<std::string>& intermediates);
 
 /** The analytic walk's result for one Einsum. */
 struct EinsumEstimate

@@ -1,7 +1,6 @@
 #include "model/tables.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "util/error.hpp"
 
@@ -11,17 +10,7 @@ namespace teaal::model
 namespace
 {
 
-/** Strip trailing digits: K0 -> K. */
-std::string
-stripDigits(const std::string& rank)
-{
-    std::string base = rank;
-    while (!base.empty() &&
-           std::isdigit(static_cast<unsigned char>(base.back()))) {
-        base.pop_back();
-    }
-    return base;
-}
+using einsum::baseOfDerived;
 
 /**
  * Tolerant binding-rank resolution against a list of (possibly
@@ -37,8 +26,8 @@ resolveRankLevel(const std::vector<ft::RankInfo>& ranks,
             return static_cast<int>(i);
     }
     for (std::size_t i = 0; i < ranks.size(); ++i) {
-        if (stripDigits(ranks[i].id) == rank ||
-            ranks[i].id == stripDigits(rank))
+        if (baseOfDerived(ranks[i].id) == rank ||
+            ranks[i].id == baseOfDerived(rank))
             return static_cast<int>(i);
     }
     for (std::size_t i = 0; i < ranks.size(); ++i) {
@@ -241,7 +230,7 @@ ModelTables::build(const ir::EinsumPlan& plan, const arch::Topology& topo,
             if (!sb.evictOn.empty()) {
                 for (std::size_t l = 0; l < plan.loops.size(); ++l) {
                     if (plan.loops[l].name == sb.evictOn ||
-                        stripDigits(plan.loops[l].name) == sb.evictOn)
+                        baseOfDerived(plan.loops[l].name) == sb.evictOn)
                         unit.evictLoop = static_cast<int>(l);
                 }
             }

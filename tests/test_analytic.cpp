@@ -14,8 +14,10 @@
 #include "accelerators/accelerators.hpp"
 #include "compiler/pipeline.hpp"
 #include "fibertree/occupancy.hpp"
+#include "fibertree/transform.hpp"
 #include "model/analytic/estimator.hpp"
 #include "storage/packed.hpp"
+#include "tuner/search_space.hpp"
 #include "util/logging.hpp"
 #include "workloads/datasets.hpp"
 
@@ -305,6 +307,143 @@ TEST(AnalyticAccuracy, PackedWorkloads)
 {
     for (const AccuracyCase& c : kCases)
         checkAccuracy(c, /*packed=*/true);
+}
+
+// ------------------------------------------- one planner, two sources
+
+/**
+ * Assert that a symbolic plan has the same skeleton as the plan the
+ * trace tier executes: everything the planner derives from the spec
+ * and the rank metadata. Co-iteration strategies are excluded: they
+ * follow post-transform occupancy hints, which the symbolic source
+ * only estimates.
+ */
+void
+expectSameSkeleton(const ir::EinsumPlan& real, const ir::EinsumPlan& sym)
+{
+    ASSERT_EQ(real.loops.size(), sym.loops.size());
+    for (std::size_t i = 0; i < real.loops.size(); ++i) {
+        const ir::LoopRank& r = real.loops[i];
+        const ir::LoopRank& s = sym.loops[i];
+        SCOPED_TRACE("loop " + r.name);
+        EXPECT_EQ(r.name, s.name);
+        EXPECT_EQ(r.bindsVars, s.bindsVars);
+        EXPECT_EQ(r.unpackStrides, s.unpackStrides);
+        EXPECT_EQ(r.unpackShapes, s.unpackShapes);
+        EXPECT_EQ(r.isUpperPartition, s.isUpperPartition);
+        EXPECT_EQ(r.rangeTile, s.rangeTile);
+        EXPECT_EQ(r.isSpace, s.isSpace);
+        EXPECT_EQ(r.coordSpace, s.coordSpace);
+        EXPECT_EQ(r.spaceExtent, s.spaceExtent);
+        EXPECT_EQ(r.denseExtent, s.denseExtent);
+        EXPECT_EQ(r.probeOnly, s.probeOnly);
+    }
+    EXPECT_EQ(real.varBoundAt, sym.varBoundAt);
+    ASSERT_EQ(real.inputs.size(), sym.inputs.size());
+    for (std::size_t t = 0; t < real.inputs.size(); ++t) {
+        const ir::TensorPlan& r = real.inputs[t];
+        const ir::TensorPlan& s = sym.inputs[t];
+        SCOPED_TRACE("input " + r.name);
+        EXPECT_EQ(r.name, s.name);
+        EXPECT_EQ(r.exprInput, s.exprInput);
+        EXPECT_EQ(r.prepared.rankIds(), s.prepared.rankIds());
+        EXPECT_EQ(r.swizzled, s.swizzled);
+        EXPECT_EQ(r.swizzleOnline, s.swizzleOnline);
+        ASSERT_EQ(r.actions.size(), s.actions.size());
+        for (std::size_t a = 0; a < r.actions.size(); ++a) {
+            EXPECT_EQ(r.actions[a].mode, s.actions[a].mode) << a;
+            EXPECT_EQ(r.actions[a].loopIndex, s.actions[a].loopIndex) << a;
+            EXPECT_EQ(r.actions[a].level, s.actions[a].level) << a;
+        }
+    }
+    EXPECT_EQ(real.output.name, sym.output.name);
+    EXPECT_EQ(real.output.productionOrder, sym.output.productionOrder);
+    EXPECT_EQ(real.output.shapes, sym.output.shapes);
+    EXPECT_EQ(real.output.vars, sym.output.vars);
+    EXPECT_EQ(real.output.boundAtLoop, sym.output.boundAtLoop);
+    EXPECT_EQ(real.output.declaredOrder, sym.output.declaredOrder);
+    EXPECT_EQ(real.output.needsReorder, sym.output.needsReorder);
+}
+
+/**
+ * Plan every Einsum of @p spec twice — from the tensors (the trace
+ * tier's CompiledModel::plans) and from statistics built off the same
+ * tensors' occupancy hints (the analytic tier) — and compare skeletons.
+ */
+void
+checkSameSkeletons(const std::string& label,
+                   const compiler::Specification& spec, bool packed)
+{
+    namespace an = model::analytic;
+    SCOPED_TRACE(label + (packed ? " packed" : " pointer"));
+    const ft::Tensor a =
+        workloads::uniformMatrix("A", 300, 250, 2000, 41, {"K", "M"});
+    const ft::Tensor b =
+        workloads::uniformMatrix("B", 300, 280, 2000, 42, {"K", "N"});
+    auto model = compiler::compile(spec);
+    Workload w;
+    if (packed) {
+        w.add("A", storage::PackedTensor::fromTensor(
+                       a, model.spec().formats.getLenient("A")));
+        w.add("B", storage::PackedTensor::fromTensor(
+                       b, model.spec().formats.getLenient("B")));
+    } else {
+        w.add("A", a).add("B", b);
+    }
+    const std::vector<ir::EinsumPlan>& plans = model.plans(w);
+    const einsum::EinsumSpec& es = model.spec().einsums;
+    ASSERT_EQ(plans.size(), es.expressions.size());
+
+    // Inputs as the planner sees them: in the mapping's rank-order
+    // (a discordant packed input is unpacked, so it loses the packed
+    // fast path).
+    std::map<std::string, an::SymbolicTensor> stats;
+    for (const auto& [name, t] :
+         {std::pair<std::string, const ft::Tensor*>{"A", &a},
+          std::pair<std::string, const ft::Tensor*>{"B", &b}}) {
+        const auto& order = model.spec().mapping.rankOrder(name);
+        const bool concordant = order.empty() || t->rankIds() == order;
+        const ft::Tensor bound = concordant ? *t : ft::swizzle(*t, order);
+        stats.emplace(name, an::SymbolicTensor::fromHints(
+                                name, bound.ranks(), bound.occupancyHints(),
+                                packed && concordant));
+    }
+    // Intermediates come from a traced run of the cascade.
+    compiler::SimulationResult traced;
+    if (es.expressions.size() > 1)
+        traced = model.run(w);
+    std::vector<std::string> produced;
+    for (std::size_t i = 0; i < es.expressions.size(); ++i) {
+        const std::string& out = es.expressions[i].output.name;
+        SCOPED_TRACE("einsum " + out);
+        const an::SymbolicPlan sp = an::symbolicInstantiate(
+            model.recipes()[i], es, stats, produced);
+        expectSameSkeleton(plans[i], sp.plan);
+        const auto it = traced.tensors.find(out);
+        if (it != traced.tensors.end()) {
+            stats.insert_or_assign(
+                out, an::SymbolicTensor::fromHints(
+                         out, it->second.ranks(),
+                         it->second.occupancyHints()));
+        }
+        produced.push_back(out);
+    }
+}
+
+TEST(OnePlanner, SymbolicSkeletonMatchesTable1Plans)
+{
+    for (const AccuracyCase& c : kCases) {
+        checkSameSkeletons(c.name, c.make(), /*packed=*/false);
+        checkSameSkeletons(c.name, c.make(), /*packed=*/true);
+    }
+}
+
+TEST(OnePlanner, SymbolicSkeletonMatchesTunerCandidatePlans)
+{
+    for (const tuner::Candidate& c : tuner::spmspmSearchSpace()) {
+        checkSameSkeletons(c.label, c.spec, /*packed=*/false);
+        checkSameSkeletons(c.label, c.spec, /*packed=*/true);
+    }
 }
 
 TEST(AnalyticEstimate, CachesByFingerprint)

@@ -25,6 +25,8 @@
 #include "workloads/datasets.hpp"
 #include "workloads/mtx.hpp"
 
+#include "support.hpp"
+
 namespace teaal
 {
 namespace
@@ -35,6 +37,7 @@ using compiler::RunOptions;
 using compiler::Workload;
 using serve::Json;
 using serve::parseJson;
+using test::field;
 
 #ifdef TEAAL_FAILPOINTS_ENABLED
 #define TEAAL_REQUIRE_SITES() ((void)0)
@@ -107,23 +110,13 @@ class FailpointsMtx : public Failpoints
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_failpoint_mtx";
-        std::filesystem::create_directories(dir_);
-        path_ = (dir_ / "a.mtx").string();
+        path_ = dir_.path("a.mtx");
         workloads::writeMatrixMarket(
             path_, workloads::uniformMatrix("A", 16, 16, 40, 5,
                                             {"K", "M"}));
     }
 
-    void
-    TearDown() override
-    {
-        Failpoints::TearDown();
-        std::filesystem::remove_all(dir_);
-    }
-
-    std::filesystem::path dir_;
+    test::TempDir dir_;
     std::string path_;
 };
 
@@ -243,24 +236,14 @@ class FailpointsServe : public Failpoints
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_failpoint_serve";
-        std::filesystem::create_directories(dir_);
-        aPath_ = (dir_ / "a.mtx").string();
-        bPath_ = (dir_ / "b.mtx").string();
+        aPath_ = dir_.path("a.mtx");
+        bPath_ = dir_.path("b.mtx");
         workloads::writeMatrixMarket(
             aPath_, workloads::uniformMatrix("A", 48, 40, 250, 7,
                                              {"K", "M"}));
         workloads::writeMatrixMarket(
             bPath_, workloads::uniformMatrix("B", 48, 44, 250, 8,
                                              {"K", "N"}));
-    }
-
-    void
-    TearDown() override
-    {
-        Failpoints::TearDown();
-        std::filesystem::remove_all(dir_);
     }
 
     static std::string
@@ -272,7 +255,7 @@ class FailpointsServe : public Failpoints
                col + R"("]})";
     }
 
-    std::filesystem::path dir_;
+    test::TempDir dir_;
     std::string aPath_, bPath_;
 };
 
@@ -282,15 +265,15 @@ TEST_F(FailpointsServe, AdmissionOverloadInjectionShedsOnce)
     serve::Server server;
     const Json compiled = parseJson(
         server.handleLine(R"({"op":"compile","accel":"gamma"})"));
-    const std::string model = compiled.find("model")->str();
-    const std::string da = parseJson(server.handleLine(
-                               loadLine(aPath_, "A", "M")))
-                               .find("dataset")
-                               ->str();
-    const std::string db = parseJson(server.handleLine(
-                               loadLine(bPath_, "B", "N")))
-                               .find("dataset")
-                               ->str();
+    const std::string model = field(compiled, "model").str();
+    const std::string da =
+        field(parseJson(server.handleLine(loadLine(aPath_, "A", "M"))),
+              "dataset")
+            .str();
+    const std::string db =
+        field(parseJson(server.handleLine(loadLine(bPath_, "B", "N"))),
+              "dataset")
+            .str();
     const std::string evaluate =
         R"({"op":"evaluate","model":")" + model +
         R"(","bindings":{"A":")" + da + R"(","B":")" + db + R"("}})";
@@ -298,10 +281,10 @@ TEST_F(FailpointsServe, AdmissionOverloadInjectionShedsOnce)
     fp::setFromSpec("serve.admission.overload", "trig*1");
     const Json shed = parseJson(server.handleLine(evaluate));
     ASSERT_NE(shed.find("error"), nullptr) << shed.dump();
-    EXPECT_EQ(shed.find("error")->find("code")->str(), "overloaded");
+    EXPECT_EQ(field(field(shed, "error"), "code").str(), "overloaded");
     // The injected shed consumed the program: the retry succeeds.
     const Json retried = parseJson(server.handleLine(evaluate));
-    EXPECT_TRUE(retried.find("ok")->boolean()) << retried.dump();
+    EXPECT_TRUE(field(retried, "ok").boolean()) << retried.dump();
 }
 
 TEST_F(FailpointsServe, InflightEvictionAnsweredAndRecoveredByRetry)
@@ -314,15 +297,15 @@ TEST_F(FailpointsServe, InflightEvictionAnsweredAndRecoveredByRetry)
 
     const Json compiled = client.request(
         parseJson(R"({"op":"compile","accel":"gamma"})"));
-    const std::string model = compiled.find("model")->str();
+    const std::string model = field(compiled, "model").str();
     const std::string da =
-        client.request(parseJson(loadLine(aPath_, "A", "M")))
-            .find("dataset")
-            ->str();
+        field(client.request(parseJson(loadLine(aPath_, "A", "M"))),
+              "dataset")
+            .str();
     const std::string db =
-        client.request(parseJson(loadLine(bPath_, "B", "N")))
-            .find("dataset")
-            ->str();
+        field(client.request(parseJson(loadLine(bPath_, "B", "N"))),
+              "dataset")
+            .str();
     Json evaluate = parseJson(
         R"({"op":"evaluate","model":")" + model +
         R"(","bindings":{"A":")" + da + R"(","B":")" + db + R"("}})");
@@ -345,14 +328,14 @@ TEST_F(FailpointsServe, InflightEvictionAnsweredAndRecoveredByRetry)
         const Json recompiled = client.request(
             parseJson(R"({"op":"compile","accel":"gamma"})"));
         request.set("model",
-                    Json::makeString(recompiled.find("model")->str()));
+                    Json::makeString(field(recompiled, "model").str()));
         return true;
     };
 
     unsigned attempts = 0;
     const Json response =
         client.requestWithRetry(evaluate, policy, &attempts);
-    EXPECT_TRUE(response.find("ok")->boolean()) << response.dump();
+    EXPECT_TRUE(field(response, "ok").boolean()) << response.dump();
     EXPECT_EQ(attempts, 2u);
     EXPECT_EQ(retried_evicted, 1u);
     EXPECT_GE(server.registry().stats().evictions, 1u);
@@ -369,25 +352,14 @@ class FailpointsStore : public Failpoints
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_failpoint_store";
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-        path_ = (dir_ / "a.teaal").string();
+        path_ = dir_.path("a.teaal");
         storage::writeStore(
             path_, storage::PackedTensor::fromTensor(
                        workloads::uniformMatrix("A", 16, 16, 40, 5,
                                                 {"K", "M"})));
     }
 
-    void
-    TearDown() override
-    {
-        Failpoints::TearDown();
-        std::filesystem::remove_all(dir_);
-    }
-
-    std::filesystem::path dir_;
+    test::TempDir dir_;
     std::string path_;
 };
 
@@ -442,7 +414,7 @@ TEST_F(FailpointsStore, SpillWriteErrorCleansUpAndRerunsIdentical)
     opts.threads = 4;
     const compiler::SimulationResult reference = model.run(w, opts);
 
-    const std::string spill_dir = (dir_ / "spill").string();
+    const std::string spill_dir = dir_.path("spill");
     std::filesystem::create_directories(spill_dir);
     opts.spillDir = spill_dir;
     opts.spillSegmentBytes = 4096; // force frames

@@ -5,13 +5,14 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "util/diagnostic.hpp"
 #include "util/error.hpp"
 #include "workloads/mtx.hpp"
 #include "workloads/datasets.hpp"
+
+#include "support.hpp"
 
 namespace teaal::workloads
 {
@@ -218,11 +219,11 @@ TEST(MatrixMarket, RoundTripThroughText)
 TEST(MatrixMarket, RoundTripThroughFile)
 {
     const auto t = uniformMatrix("A", 16, 16, 40, 10);
-    const std::string path = "/tmp/teaal_mtx_test.mtx";
+    const test::TempDir dir;
+    const std::string path = dir.path("a.mtx");
     writeMatrixMarket(path, t);
     const auto again = readMatrixMarket(path, "A", {"K", "M"});
     EXPECT_TRUE(again.equals(t, 1e-9));
-    std::remove(path.c_str());
     EXPECT_THROW(readMatrixMarket("/nonexistent/file.mtx", "A"),
                  SpecError);
 }
@@ -286,11 +287,11 @@ TEST(MatrixMarketPacked, CarriesTheRequestedFormat)
 TEST(MatrixMarketPacked, ReadsFromFile)
 {
     const auto t = uniformMatrix("A", 16, 16, 40, 12);
-    const std::string path = "/tmp/teaal_mtx_packed_test.mtx";
+    const test::TempDir dir;
+    const std::string path = dir.path("a.mtx");
     writeMatrixMarket(path, t);
     const auto packed = readMatrixMarketPacked(path, "A", {"K", "M"});
     EXPECT_TRUE(packed.toTensor().equals(t, 1e-9));
-    std::remove(path.c_str());
     EXPECT_THROW(readMatrixMarketPacked("/nonexistent/file.mtx", "A"),
                  SpecError);
 }

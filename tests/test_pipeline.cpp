@@ -4,8 +4,8 @@
  * Specification -> compile() -> CompiledModel::run(Workload,
  * RunOptions).
  *
- * Covers run-many determinism (and equivalence with the legacy
- * Simulator shim), the no-deep-copy guarantee for unmutated workload
+ * Covers run-many determinism (and equivalence with a fresh
+ * single-shot model), the no-deep-copy guarantee for unmutated workload
  * inputs, RunOptions (coiter overrides, extra observers), and the
  * structured diagnostics surfaced by parse/compile instead of
  * asserts.
@@ -26,7 +26,6 @@ namespace
 using compiler::CompiledModel;
 using compiler::RunOptions;
 using compiler::SimulationResult;
-using compiler::Simulator;
 using compiler::Workload;
 
 accel::GammaConfig
@@ -106,7 +105,7 @@ expectSameResults(const SimulationResult& x, const SimulationResult& y)
 }
 
 /// Compile once, run twice: records, perf, and traffic identical
-/// between runs and identical to the legacy Simulator path.
+/// between runs and identical to a fresh single-shot model's run.
 TEST(Pipeline, RunManyIsDeterministicAndMatchesLegacy)
 {
     const auto mats = makeMatrices(11);
@@ -120,12 +119,15 @@ TEST(Pipeline, RunManyIsDeterministicAndMatchesLegacy)
     EXPECT_TRUE(first.result(model.spec())
                     .equals(second.result(model.spec()), 0.0));
 
-    Simulator legacy(accel::gamma(smallGamma()));
-    const SimulationResult shim =
-        legacy.run({{"A", mats.a.clone()}, {"B", mats.b.clone()}});
-    expectSameResults(first, shim);
+    // A fresh single-shot model (no cached state) agrees too.
+    const CompiledModel fresh =
+        compiler::compile(accel::gamma(smallGamma()));
+    RunOptions once;
+    once.cacheState = false;
+    const SimulationResult single = fresh.run(w, once);
+    expectSameResults(first, single);
     EXPECT_TRUE(first.result(model.spec())
-                    .equals(shim.result(legacy.spec()), 0.0));
+                    .equals(single.result(model.spec()), 0.0));
 }
 
 /// The second run on a cached workload performs no deep copies at
@@ -454,8 +456,9 @@ TEST(PipelineDiagnostics, WorkloadRankMismatch)
     }
 }
 
-/// The pipeline's algorithmic-minimum matches the legacy Simulator's
-/// (the Figure 9 normalization must not drift).
+/// The algorithmic minimum of a cached workload state matches a
+/// single-shot run's, which keeps no state (the Figure 9
+/// normalization must not drift).
 TEST(Pipeline, AlgorithmicMinMatchesLegacy)
 {
     const auto mats = makeMatrices(18);
@@ -464,12 +467,14 @@ TEST(Pipeline, AlgorithmicMinMatchesLegacy)
     w.add("A", mats.a).add("B", mats.b);
     const SimulationResult result = model.run(w);
 
-    Simulator legacy(accel::gamma(smallGamma()));
-    const SimulationResult shim =
-        legacy.run({{"A", mats.a.clone()}, {"B", mats.b.clone()}});
+    const CompiledModel single =
+        compiler::compile(accel::gamma(smallGamma()));
+    RunOptions once;
+    once.cacheState = false;
+    const SimulationResult single_result = single.run(w, once);
 
     EXPECT_DOUBLE_EQ(model.algorithmicMinBytes(w, result),
-                     legacy.algorithmicMinBytes(shim.tensors));
+                     single.algorithmicMinBytes(w, single_result));
 }
 
 } // namespace

@@ -28,6 +28,8 @@
 #include "workloads/datasets.hpp"
 #include "workloads/mtx.hpp"
 
+#include "support.hpp"
+
 namespace teaal
 {
 namespace
@@ -35,6 +37,7 @@ namespace
 
 using serve::Json;
 using serve::parseJson;
+using test::field;
 
 // ------------------------------------------------------------- JSON
 
@@ -43,13 +46,13 @@ TEST(ServeJson, RoundTripsScalarsAndContainers)
     const Json v = parseJson(
         R"({"s":"hi","n":-2.5,"t":true,"f":false,"z":null,)"
         R"("a":[1,2,3],"o":{"k":"v"}})");
-    EXPECT_EQ(v.find("s")->str(), "hi");
-    EXPECT_DOUBLE_EQ(v.find("n")->number(), -2.5);
-    EXPECT_TRUE(v.find("t")->boolean());
-    EXPECT_FALSE(v.find("f")->boolean());
-    EXPECT_TRUE(v.find("z")->isNull());
-    EXPECT_EQ(v.find("a")->array().size(), 3u);
-    EXPECT_EQ(v.find("o")->find("k")->str(), "v");
+    EXPECT_EQ(field(v, "s").str(), "hi");
+    EXPECT_DOUBLE_EQ(field(v, "n").number(), -2.5);
+    EXPECT_TRUE(field(v, "t").boolean());
+    EXPECT_FALSE(field(v, "f").boolean());
+    EXPECT_TRUE(field(v, "z").isNull());
+    EXPECT_EQ(field(v, "a").array().size(), 3u);
+    EXPECT_EQ(field(field(v, "o"), "k").str(), "v");
     // dump -> parse -> dump is a fixed point.
     const std::string once = v.dump();
     EXPECT_EQ(parseJson(once).dump(), once);
@@ -59,12 +62,12 @@ TEST(ServeJson, RoundTripsScalarsAndContainers)
 TEST(ServeJson, EscapesAndUnicode)
 {
     const Json v = parseJson(R"({"k":"a\"b\\c\n\tAé"})");
-    EXPECT_EQ(v.find("k")->str(), "a\"b\\c\n\tA\xc3\xa9");
+    EXPECT_EQ(field(v, "k").str(), "a\"b\\c\n\tA\xc3\xa9");
     // Control characters are re-escaped on dump.
     const std::string dumped = v.dump();
     EXPECT_NE(dumped.find("\\n"), std::string::npos);
-    EXPECT_EQ(parseJson(dumped).find("k")->str(),
-              v.find("k")->str());
+    EXPECT_EQ(field(parseJson(dumped), "k").str(),
+              field(v, "k").str());
 }
 
 TEST(ServeJson, IntegersDumpWithoutExponent)
@@ -95,8 +98,8 @@ TEST(ServeJson, MalformedInputThrowsWithOffset)
 TEST(ServeJson, TypeMismatchThrows)
 {
     const Json v = parseJson(R"({"n":1})");
-    EXPECT_THROW(v.find("n")->str(), SpecError);
-    EXPECT_THROW(v.find("n")->array(), SpecError);
+    EXPECT_THROW(field(v, "n").str(), SpecError);
+    EXPECT_THROW(field(v, "n").array(), SpecError);
     EXPECT_EQ(v.find("missing"), nullptr);
 }
 
@@ -250,13 +253,13 @@ class ServeProtocol : public ::testing::Test
                 const std::string& key = "")
     {
         ASSERT_NE(r.find("ok"), nullptr) << r.dump();
-        EXPECT_FALSE(r.find("ok")->boolean()) << r.dump();
+        EXPECT_FALSE(field(r, "ok").boolean()) << r.dump();
         const Json* error = r.find("error");
         ASSERT_NE(error, nullptr);
-        EXPECT_EQ(error->find("code")->str(), code) << r.dump();
+        EXPECT_EQ(field(*error, "code").str(), code) << r.dump();
         if (!key.empty())
-            EXPECT_EQ(error->find("key")->str(), key) << r.dump();
-        EXPECT_FALSE(error->find("message")->str().empty());
+            EXPECT_EQ(field(*error, "key").str(), key) << r.dump();
+        EXPECT_FALSE(field(*error, "message").str().empty());
     }
 
     serve::Server server_;
@@ -280,7 +283,7 @@ TEST_F(ServeProtocol, RequestIdIsEchoedEvenOnErrors)
 {
     const Json r = call(R"({"op":"nope","id":42})");
     ASSERT_NE(r.find("id"), nullptr);
-    EXPECT_DOUBLE_EQ(r.find("id")->number(), 42.0);
+    EXPECT_DOUBLE_EQ(field(r, "id").number(), 42.0);
 }
 
 TEST_F(ServeProtocol, CompileValidatesItsArguments)
@@ -317,12 +320,8 @@ class ServeProtocolStore : public ServeProtocol
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_serve_store";
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-        aPath_ = (dir_ / "a.teaal").string();
-        bPath_ = (dir_ / "b.teaal").string();
+        aPath_ = dir_.path("a.teaal");
+        bPath_ = dir_.path("b.teaal");
         storage::writeStore(
             aPath_, storage::PackedTensor::fromTensor(
                         workloads::uniformMatrix("A", 48, 40, 250, 7,
@@ -331,12 +330,6 @@ class ServeProtocolStore : public ServeProtocol
             bPath_, storage::PackedTensor::fromTensor(
                         workloads::uniformMatrix("B", 48, 44, 250, 8,
                                                  {"K", "N"})));
-    }
-
-    void
-    TearDown() override
-    {
-        std::filesystem::remove_all(dir_);
     }
 
     Json
@@ -350,50 +343,50 @@ class ServeProtocolStore : public ServeProtocol
     expectStoreError(const Json& r, const std::string& path)
     {
         expectError(r, "bad_request", path);
-        EXPECT_EQ(r.find("error")->find("section")->str(), "store")
+        EXPECT_EQ(field(field(r, "error"), "section").str(), "store")
             << r.dump();
     }
 
-    std::filesystem::path dir_;
+    test::TempDir dir_;
     std::string aPath_, bPath_;
 };
 
 TEST_F(ServeProtocolStore, StoresLoadMappedAndEvaluate)
 {
     const Json da = load(aPath_, "A");
-    ASSERT_TRUE(da.find("ok")->boolean()) << da.dump();
-    EXPECT_TRUE(da.find("mapped")->boolean()) << da.dump();
-    EXPECT_DOUBLE_EQ(da.find("bytes")->number(),
+    ASSERT_TRUE(field(da, "ok").boolean()) << da.dump();
+    EXPECT_TRUE(field(da, "mapped").boolean()) << da.dump();
+    EXPECT_DOUBLE_EQ(field(da, "bytes").number(),
                      static_cast<double>(
                          std::filesystem::file_size(aPath_)));
     const Json db = load(bPath_, "B");
-    ASSERT_TRUE(db.find("ok")->boolean()) << db.dump();
-    EXPECT_TRUE(db.find("mapped")->boolean());
+    ASSERT_TRUE(field(db, "ok").boolean()) << db.dump();
+    EXPECT_TRUE(field(db, "mapped").boolean());
 
     // Matrix Market loads still answer mapped:false.
-    const std::string mtx = (dir_ / "a.mtx").string();
+    const std::string mtx = dir_.path("a.mtx");
     workloads::writeMatrixMarket(
         mtx, workloads::uniformMatrix("A", 16, 16, 30, 9, {"K", "M"}));
     const Json dm = load(mtx, "A");
-    ASSERT_TRUE(dm.find("ok")->boolean()) << dm.dump();
-    EXPECT_FALSE(dm.find("mapped")->boolean());
+    ASSERT_TRUE(field(dm, "ok").boolean()) << dm.dump();
+    EXPECT_FALSE(field(dm, "mapped").boolean());
 
     // The mapped datasets drive a full evaluation.
     const Json compiled = call(R"({"op":"compile","accel":"gamma"})");
-    ASSERT_TRUE(compiled.find("ok")->boolean()) << compiled.dump();
+    ASSERT_TRUE(field(compiled, "ok").boolean()) << compiled.dump();
     const Json r = call(
         R"({"op":"evaluate","model":")" +
-        compiled.find("model")->str() + R"(","bindings":{"A":")" +
-        da.find("dataset")->str() + R"(","B":")" +
-        db.find("dataset")->str() + R"("}})");
-    ASSERT_TRUE(r.find("ok")->boolean()) << r.dump();
-    EXPECT_GT(r.find("compute_muls")->number(), 0.0);
+        field(compiled, "model").str() + R"(","bindings":{"A":")" +
+        field(da, "dataset").str() + R"(","B":")" +
+        field(db, "dataset").str() + R"("}})");
+    ASSERT_TRUE(field(r, "ok").boolean()) << r.dump();
+    EXPECT_GT(field(r, "compute_muls").number(), 0.0);
 }
 
 TEST_F(ServeProtocolStore, DamagedStoresAnswerStructuredErrors)
 {
     // Truncation: header promises more bytes than the file holds.
-    const std::string trunc = (dir_ / "trunc.teaal").string();
+    const std::string trunc = dir_.path("trunc.teaal");
     std::filesystem::copy_file(aPath_, trunc);
     std::filesystem::resize_file(
         trunc, std::filesystem::file_size(trunc) - 1);
@@ -402,7 +395,7 @@ TEST_F(ServeProtocolStore, DamagedStoresAnswerStructuredErrors)
     // Bad magic after the sniff passes is impossible — a non-store
     // prefix routes to the Matrix Market parser — but a store whose
     // version this build does not read is a "store" error.
-    const std::string vers = (dir_ / "vers.teaal").string();
+    const std::string vers = dir_.path("vers.teaal");
     std::filesystem::copy_file(aPath_, vers);
     {
         std::fstream f(vers, std::ios::binary | std::ios::in |
@@ -430,8 +423,8 @@ TEST_F(ServeProtocol, EvaluateValidatesItsArguments)
         "unknown_id", "m9");
 
     const Json compiled = call(R"({"op":"compile","accel":"gamma"})");
-    ASSERT_TRUE(compiled.find("ok")->boolean()) << compiled.dump();
-    const std::string model = compiled.find("model")->str();
+    ASSERT_TRUE(field(compiled, "ok").boolean()) << compiled.dump();
+    const std::string model = field(compiled, "model").str();
     const std::string prefix =
         R"({"op":"evaluate","model":")" + model + R"(",)";
 
@@ -473,9 +466,9 @@ TEST_F(ServeProtocol, EstimateValidatesItsArguments)
         "unknown_id", "m9");
 
     const Json compiled = call(R"({"op":"compile","accel":"gamma"})");
-    ASSERT_TRUE(compiled.find("ok")->boolean()) << compiled.dump();
+    ASSERT_TRUE(field(compiled, "ok").boolean()) << compiled.dump();
     const std::string prefix = R"({"op":"estimate","model":")" +
-                               compiled.find("model")->str() +
+                               field(compiled, "model").str() +
                                R"(",)";
     expectError(parseJson(server_.handleLine(
                     prefix + R"("bindings":{"A":7}})")),
@@ -509,8 +502,8 @@ TEST_F(ServeProtocol, CancelValidatesAndCountsMatches)
     expectError(call(R"({"op":"cancel"})"), "bad_request", "target");
     // A target with nothing in flight is an answer, not an error.
     const Json r = call(R"({"op":"cancel","target":"nobody"})");
-    ASSERT_TRUE(r.find("ok")->boolean()) << r.dump();
-    EXPECT_DOUBLE_EQ(r.find("cancelled")->number(), 0.0);
+    ASSERT_TRUE(field(r, "ok").boolean()) << r.dump();
+    EXPECT_DOUBLE_EQ(field(r, "cancelled").number(), 0.0);
 }
 
 TEST_F(ServeProtocol, ShardingReportNeedsAKnownModel)
@@ -518,15 +511,15 @@ TEST_F(ServeProtocol, ShardingReportNeedsAKnownModel)
     expectError(call(R"({"op":"sharding_report","model":"m7"})"),
                 "unknown_id", "m7");
     const Json compiled = call(R"({"op":"compile","accel":"gamma"})");
-    const std::string model = compiled.find("model")->str();
+    const std::string model = field(compiled, "model").str();
     const Json report = parseJson(server_.handleLine(
         R"({"op":"sharding_report","model":")" + model + "\"}"));
-    ASSERT_TRUE(report.find("ok")->boolean()) << report.dump();
-    const auto& einsums = report.find("einsums")->array();
+    ASSERT_TRUE(field(report, "ok").boolean()) << report.dump();
+    const auto& einsums = field(report, "einsums").array();
     ASSERT_FALSE(einsums.empty());
     for (const Json& entry : einsums) {
-        EXPECT_FALSE(entry.find("einsum")->str().empty());
-        const std::string mode = entry.find("mode")->str();
+        EXPECT_FALSE(field(entry, "einsum").str().empty());
+        const std::string mode = field(entry, "mode").str();
         EXPECT_TRUE(mode == "disjoint" || mode == "reduce" ||
                     mode == "inner" || mode == "serial")
             << mode;
@@ -541,23 +534,14 @@ class ServeEndToEnd : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "teaal_serve_test";
-        std::filesystem::create_directories(dir_);
-        aPath_ = (dir_ / "a.mtx").string();
-        bPath_ = (dir_ / "b.mtx").string();
+        aPath_ = dir_.path("a.mtx");
+        bPath_ = dir_.path("b.mtx");
         workloads::writeMatrixMarket(
             aPath_, workloads::uniformMatrix("A", 48, 40, 250, 7,
                                              {"K", "M"}));
         workloads::writeMatrixMarket(
             bPath_, workloads::uniformMatrix("B", 48, 44, 250, 8,
                                              {"K", "N"}));
-    }
-
-    void
-    TearDown() override
-    {
-        std::filesystem::remove_all(dir_);
     }
 
     static std::string
@@ -579,8 +563,8 @@ class ServeEndToEnd : public ::testing::Test
     BigWorkload
     setUpBig(serve::Client& client)
     {
-        const std::string cPath = (dir_ / "c.mtx").string();
-        const std::string dPath = (dir_ / "d.mtx").string();
+        const std::string cPath = dir_.path("c.mtx");
+        const std::string dPath = dir_.path("d.mtx");
         workloads::writeMatrixMarket(
             cPath, workloads::uniformMatrix("A", 200, 200, 8000, 7,
                                             {"K", "M"}));
@@ -590,15 +574,17 @@ class ServeEndToEnd : public ::testing::Test
         BigWorkload w;
         const Json compiled = client.request(
             parseJson(R"({"op":"compile","accel":"gamma"})"));
-        EXPECT_TRUE(compiled.find("ok")->boolean())
+        EXPECT_TRUE(field(compiled, "ok").boolean())
             << compiled.dump();
-        w.model = compiled.find("model")->str();
-        w.da = client.request(parseJson(loadLine(cPath, "A", "M")))
-                   .find("dataset")
-                   ->str();
-        w.db = client.request(parseJson(loadLine(dPath, "B", "N")))
-                   .find("dataset")
-                   ->str();
+        w.model = field(compiled, "model").str();
+        w.da =
+            field(client.request(parseJson(loadLine(cPath, "A", "M"))),
+                  "dataset")
+                .str();
+        w.db =
+            field(client.request(parseJson(loadLine(dPath, "B", "N"))),
+                  "dataset")
+                .str();
         return w;
     }
 
@@ -617,17 +603,17 @@ class ServeEndToEnd : public ::testing::Test
                     const std::string& reason)
     {
         ASSERT_NE(r.find("ok"), nullptr) << r.dump();
-        EXPECT_FALSE(r.find("ok")->boolean()) << r.dump();
+        EXPECT_FALSE(field(r, "ok").boolean()) << r.dump();
         const Json* error = r.find("error");
         ASSERT_NE(error, nullptr) << r.dump();
-        EXPECT_EQ(error->find("code")->str(), code) << r.dump();
+        EXPECT_EQ(field(*error, "code").str(), code) << r.dump();
         ASSERT_NE(r.find("reason"), nullptr) << r.dump();
-        EXPECT_EQ(r.find("reason")->str(), reason) << r.dump();
+        EXPECT_EQ(field(r, "reason").str(), reason) << r.dump();
         ASSERT_NE(r.find("elapsed_ms"), nullptr) << r.dump();
-        EXPECT_GE(r.find("elapsed_ms")->number(), 0.0);
+        EXPECT_GE(field(r, "elapsed_ms").number(), 0.0);
     }
 
-    std::filesystem::path dir_;
+    test::TempDir dir_;
     std::string aPath_, bPath_;
 };
 
@@ -643,59 +629,59 @@ TEST_F(ServeEndToEnd, LoopbackRoundTripWithPlanCacheReuse)
 
     const Json compiled = client.request(
         parseJson(R"({"op":"compile","accel":"gamma","id":"c1"})"));
-    ASSERT_TRUE(compiled.find("ok")->boolean()) << compiled.dump();
-    EXPECT_EQ(compiled.find("id")->str(), "c1");
-    const std::string model = compiled.find("model")->str();
+    ASSERT_TRUE(field(compiled, "ok").boolean()) << compiled.dump();
+    EXPECT_EQ(field(compiled, "id").str(), "c1");
+    const std::string model = field(compiled, "model").str();
 
     const Json da =
         client.request(parseJson(loadLine(aPath_, "A", "M")));
-    ASSERT_TRUE(da.find("ok")->boolean()) << da.dump();
-    EXPECT_GT(da.find("bytes")->number(), 0.0);
+    ASSERT_TRUE(field(da, "ok").boolean()) << da.dump();
+    EXPECT_GT(field(da, "bytes").number(), 0.0);
     const Json db =
         client.request(parseJson(loadLine(bPath_, "B", "N")));
-    ASSERT_TRUE(db.find("ok")->boolean()) << db.dump();
+    ASSERT_TRUE(field(db, "ok").boolean()) << db.dump();
 
     const std::string evaluate =
         R"({"op":"evaluate","model":")" + model +
-        R"(","bindings":{"A":")" + da.find("dataset")->str() +
-        R"(","B":")" + db.find("dataset")->str() +
+        R"(","bindings":{"A":")" + field(da, "dataset").str() +
+        R"(","B":")" + field(db, "dataset").str() +
         R"("},"threads":1})";
 
     const Json first = parseJson(client.requestLine(evaluate));
-    ASSERT_TRUE(first.find("ok")->boolean()) << first.dump();
-    EXPECT_EQ(first.find("cache")->str(), "miss");
-    EXPECT_GT(first.find("exec_seconds")->number(), 0.0);
-    EXPECT_GT(first.find("traffic_bytes")->number(), 0.0);
-    EXPECT_GT(first.find("compute_muls")->number(), 0.0);
+    ASSERT_TRUE(field(first, "ok").boolean()) << first.dump();
+    EXPECT_EQ(field(first, "cache").str(), "miss");
+    EXPECT_GT(field(first, "exec_seconds").number(), 0.0);
+    EXPECT_GT(field(first, "traffic_bytes").number(), 0.0);
+    EXPECT_GT(field(first, "compute_muls").number(), 0.0);
     // Every evaluate response reports its server-side wall time.
     ASSERT_NE(first.find("elapsed_ms"), nullptr) << first.dump();
-    EXPECT_GE(first.find("elapsed_ms")->number(), 0.0);
+    EXPECT_GE(field(first, "elapsed_ms").number(), 0.0);
 
     const Json second = parseJson(client.requestLine(evaluate));
-    ASSERT_TRUE(second.find("ok")->boolean()) << second.dump();
-    EXPECT_EQ(second.find("cache")->str(), "hit");
+    ASSERT_TRUE(field(second, "ok").boolean()) << second.dump();
+    EXPECT_EQ(field(second, "cache").str(), "hit");
     // Determinism: identical counters on the cached plan.
-    EXPECT_DOUBLE_EQ(second.find("exec_seconds")->number(),
-                     first.find("exec_seconds")->number());
-    EXPECT_DOUBLE_EQ(second.find("traffic_bytes")->number(),
-                     first.find("traffic_bytes")->number());
+    EXPECT_DOUBLE_EQ(field(second, "exec_seconds").number(),
+                     field(first, "exec_seconds").number());
+    EXPECT_DOUBLE_EQ(field(second, "traffic_bytes").number(),
+                     field(first, "traffic_bytes").number());
 
     const Json stats =
         client.request(parseJson(R"({"op":"stats"})"));
-    ASSERT_TRUE(stats.find("ok")->boolean()) << stats.dump();
-    EXPECT_EQ(stats.find("registry")->find("models")->number(), 1.0);
-    EXPECT_EQ(stats.find("registry")->find("datasets")->number(),
+    ASSERT_TRUE(field(stats, "ok").boolean()) << stats.dump();
+    EXPECT_EQ(field(field(stats, "registry"), "models").number(), 1.0);
+    EXPECT_EQ(field(field(stats, "registry"), "datasets").number(),
               2.0);
-    EXPECT_GT(stats.find("registry")->find("resident_bytes")->number(),
+    EXPECT_GT(field(field(stats, "registry"), "resident_bytes").number(),
               0.0);
     const Json* plan = stats.find("plan_cache");
     ASSERT_NE(plan, nullptr);
-    EXPECT_GE(plan->find("hits")->number(), 1.0);
-    EXPECT_GE(plan->find("misses")->number(), 1.0);
+    EXPECT_GE(field(*plan, "hits").number(), 1.0);
+    EXPECT_GE(field(*plan, "misses").number(), 1.0);
     // `accepted` increments synchronously at submit; `completed`
     // lags the response by the pool wrapper's bookkeeping, so it is
     // not asserted here.
-    EXPECT_GE(stats.find("admission")->find("accepted")->number(),
+    EXPECT_GE(field(field(stats, "admission"), "accepted").number(),
               2.0);
 
     client.close();
@@ -712,44 +698,44 @@ TEST_F(ServeEndToEnd, EstimateScreensMappingsWithoutATraceRun)
 
     const Json compiled = client.request(
         parseJson(R"({"op":"compile","accel":"gamma"})"));
-    ASSERT_TRUE(compiled.find("ok")->boolean()) << compiled.dump();
-    const std::string model = compiled.find("model")->str();
+    ASSERT_TRUE(field(compiled, "ok").boolean()) << compiled.dump();
+    const std::string model = field(compiled, "model").str();
     const std::string da =
-        client.request(parseJson(loadLine(aPath_, "A", "M")))
-            .find("dataset")
-            ->str();
+        field(client.request(parseJson(loadLine(aPath_, "A", "M"))),
+              "dataset")
+            .str();
     const std::string db =
-        client.request(parseJson(loadLine(bPath_, "B", "N")))
-            .find("dataset")
-            ->str();
+        field(client.request(parseJson(loadLine(bPath_, "B", "N"))),
+              "dataset")
+            .str();
     const std::string bindings = R"(","bindings":{"A":")" + da +
                                  R"(","B":")" + db + R"("}})";
 
     const Json est = parseJson(client.requestLine(
         R"({"op":"estimate","model":")" + model + bindings));
-    ASSERT_TRUE(est.find("ok")->boolean()) << est.dump();
-    EXPECT_EQ(est.find("cache")->str(), "miss");
-    EXPECT_GT(est.find("exec_seconds_est")->number(), 0.0);
-    EXPECT_GT(est.find("traffic_bytes_est")->number(), 0.0);
-    EXPECT_GT(est.find("compute_muls_est")->number(), 0.0);
-    EXPECT_GE(est.find("latency_ms")->number(), 0.0);
+    ASSERT_TRUE(field(est, "ok").boolean()) << est.dump();
+    EXPECT_EQ(field(est, "cache").str(), "miss");
+    EXPECT_GT(field(est, "exec_seconds_est").number(), 0.0);
+    EXPECT_GT(field(est, "traffic_bytes_est").number(), 0.0);
+    EXPECT_GT(field(est, "compute_muls_est").number(), 0.0);
+    EXPECT_GE(field(est, "latency_ms").number(), 0.0);
 
     // Re-estimating the same (model, bindings) serves the cached
     // prediction, identically.
     const Json again = parseJson(client.requestLine(
         R"({"op":"estimate","model":")" + model + bindings));
-    ASSERT_TRUE(again.find("ok")->boolean()) << again.dump();
-    EXPECT_EQ(again.find("cache")->str(), "hit");
-    EXPECT_DOUBLE_EQ(again.find("exec_seconds_est")->number(),
-                     est.find("exec_seconds_est")->number());
+    ASSERT_TRUE(field(again, "ok").boolean()) << again.dump();
+    EXPECT_EQ(field(again, "cache").str(), "hit");
+    EXPECT_DOUBLE_EQ(field(again, "exec_seconds_est").number(),
+                     field(est, "exec_seconds_est").number());
 
     // The prediction screens against the trace run's answer: same
     // workload, same model, no order-of-magnitude surprises.
     const Json eval = parseJson(client.requestLine(
         R"({"op":"evaluate","model":")" + model + bindings));
-    ASSERT_TRUE(eval.find("ok")->boolean()) << eval.dump();
-    const double traced = eval.find("exec_seconds")->number();
-    const double predicted = est.find("exec_seconds_est")->number();
+    ASSERT_TRUE(field(eval, "ok").boolean()) << eval.dump();
+    const double traced = field(eval, "exec_seconds").number();
+    const double predicted = field(est, "exec_seconds_est").number();
     EXPECT_GT(predicted, traced / 10.0);
     EXPECT_LT(predicted, traced * 10.0);
 
@@ -775,18 +761,18 @@ TEST_F(ServeEndToEnd, EvictionUnderBudgetAnswersEvictedNotUnknown)
 
     const Json compiled = parseJson(
         server.handleLine(R"({"op":"compile","accel":"gamma"})"));
-    const std::string model = compiled.find("model")->str();
+    const std::string model = field(compiled, "model").str();
 
     const Json da = parseJson(
         server.handleLine(loadLine(aPath_, "A", "M")));
-    ASSERT_TRUE(da.find("ok")->boolean()) << da.dump();
-    const std::string staleId = da.find("dataset")->str();
+    ASSERT_TRUE(field(da, "ok").boolean()) << da.dump();
+    const std::string staleId = field(da, "dataset").str();
     // Touch the model so dataset A is the coldest entry.
     server.handleLine(R"({"op":"sharding_report","model":")" + model +
                       "\"}");
     const Json db = parseJson(
         server.handleLine(loadLine(bPath_, "B", "N")));
-    ASSERT_TRUE(db.find("ok")->boolean()) << db.dump();
+    ASSERT_TRUE(field(db, "ok").boolean()) << db.dump();
 
     // Loading B pushed resident bytes past the budget; eviction
     // brought them back under it.
@@ -798,9 +784,9 @@ TEST_F(ServeEndToEnd, EvictionUnderBudgetAnswersEvictedNotUnknown)
         R"({"op":"evaluate","model":")" + model +
         R"(","bindings":{"A":")" + staleId + R"("}})"));
     ASSERT_NE(r.find("error"), nullptr) << r.dump();
-    EXPECT_EQ(r.find("error")->find("code")->str(), "evicted");
-    EXPECT_EQ(r.find("error")->find("key")->str(), staleId);
-    EXPECT_NE(r.find("error")->find("message")->str().find(
+    EXPECT_EQ(field(field(r, "error"), "code").str(), "evicted");
+    EXPECT_EQ(field(field(r, "error"), "key").str(), staleId);
+    EXPECT_NE(field(field(r, "error"), "message").str().find(
                   "re-register"),
               std::string::npos);
 }
@@ -813,7 +799,7 @@ TEST_F(ServeEndToEnd, StopDrainsAndThenShedsWithShuttingDown)
     client.connect(server.port());
     const Json compiled = client.request(
         parseJson(R"({"op":"compile","accel":"gamma"})"));
-    ASSERT_TRUE(compiled.find("ok")->boolean());
+    ASSERT_TRUE(field(compiled, "ok").boolean());
 
     server.stop(); // drains; the connection is shut down after
     EXPECT_FALSE(server.running());
@@ -822,9 +808,9 @@ TEST_F(ServeEndToEnd, StopDrainsAndThenShedsWithShuttingDown)
     // new evaluations are shed with shutting_down.
     const Json r = parseJson(server.handleLine(
         R"({"op":"evaluate","model":")" +
-        compiled.find("model")->str() + R"(","bindings":{}})"));
+        field(compiled, "model").str() + R"(","bindings":{}})"));
     ASSERT_NE(r.find("error"), nullptr) << r.dump();
-    EXPECT_EQ(r.find("error")->find("code")->str(), "shutting_down");
+    EXPECT_EQ(field(field(r, "error"), "code").str(), "shutting_down");
     server.stop(); // idempotent
 }
 
@@ -837,22 +823,22 @@ TEST_F(ServeEndToEnd, ConcurrentClientsGetConsistentAnswers)
     setup.connect(server.port());
     const Json compiled = setup.request(
         parseJson(R"({"op":"compile","accel":"gamma"})"));
-    const std::string model = compiled.find("model")->str();
-    const std::string da = setup.request(parseJson(loadLine(
-                                             aPath_, "A", "M")))
-                               .find("dataset")
-                               ->str();
-    const std::string db = setup.request(parseJson(loadLine(
-                                             bPath_, "B", "N")))
-                               .find("dataset")
-                               ->str();
+    const std::string model = field(compiled, "model").str();
+    const std::string da =
+        field(setup.request(parseJson(loadLine(aPath_, "A", "M"))),
+              "dataset")
+            .str();
+    const std::string db =
+        field(setup.request(parseJson(loadLine(bPath_, "B", "N"))),
+              "dataset")
+            .str();
     const std::string evaluate =
         R"({"op":"evaluate","model":")" + model +
         R"(","bindings":{"A":")" + da + R"(","B":")" + db +
         R"("},"threads":1})";
     const Json reference = parseJson(setup.requestLine(evaluate));
-    ASSERT_TRUE(reference.find("ok")->boolean()) << reference.dump();
-    const double expected = reference.find("exec_seconds")->number();
+    ASSERT_TRUE(field(reference, "ok").boolean()) << reference.dump();
+    const double expected = field(reference, "exec_seconds").number();
 
     constexpr int kClients = 4;
     constexpr int kRequests = 5;
@@ -866,9 +852,12 @@ TEST_F(ServeEndToEnd, ConcurrentClientsGetConsistentAnswers)
             for (int i = 0; i < kRequests; ++i) {
                 const Json r =
                     parseJson(client.requestLine(evaluate));
+                // No field(): a throw off the main thread would
+                // terminate the process instead of failing the test.
                 const Json* okField = r.find("ok");
+                const Json* secs = r.find("exec_seconds");
                 if (okField == nullptr || !okField->boolean() ||
-                    r.find("exec_seconds")->number() != expected)
+                    secs == nullptr || secs->number() != expected)
                     mismatches.fetch_add(1);
             }
         });
@@ -892,13 +881,13 @@ TEST_F(ServeEndToEnd, DeadlineExceededIsStructuredPromptAndRecoverable)
     // faster of two full runs (the second rides the cached plan).
     const Json full1 =
         parseJson(client.requestLine(evalLine(w, R"(,"threads":1)")));
-    ASSERT_TRUE(full1.find("ok")->boolean()) << full1.dump();
+    ASSERT_TRUE(field(full1, "ok").boolean()) << full1.dump();
     const Json full2 =
         parseJson(client.requestLine(evalLine(w, R"(,"threads":1)")));
-    ASSERT_TRUE(full2.find("ok")->boolean()) << full2.dump();
+    ASSERT_TRUE(field(full2, "ok").boolean()) << full2.dump();
     const double wall =
-        std::min(full1.find("elapsed_ms")->number(),
-                 full2.find("elapsed_ms")->number());
+        std::min(field(full1, "elapsed_ms").number(),
+                 field(full2, "elapsed_ms").number());
     const double deadline =
         std::clamp(wall / 8.0, 5.0, 200.0);
     // The workload is sized so the serial run dwarfs the budget even
@@ -915,7 +904,7 @@ TEST_F(ServeEndToEnd, DeadlineExceededIsStructuredPromptAndRecoverable)
             w, std::string(",\"threads\":") + threads +
                    ",\"deadline_ms\":" + std::to_string(deadline))));
         expectCancelled(r, "deadline_exceeded", "deadline");
-        EXPECT_LE(r.find("elapsed_ms")->number(), 2.0 * deadline)
+        EXPECT_LE(field(r, "elapsed_ms").number(), 2.0 * deadline)
             << "threads=" << threads << ": " << r.dump();
     }
 
@@ -924,9 +913,9 @@ TEST_F(ServeEndToEnd, DeadlineExceededIsStructuredPromptAndRecoverable)
     // so this re-instantiates rather than riding a poisoned entry).
     const Json after =
         parseJson(client.requestLine(evalLine(w, R"(,"threads":1)")));
-    ASSERT_TRUE(after.find("ok")->boolean()) << after.dump();
-    EXPECT_DOUBLE_EQ(after.find("exec_seconds")->number(),
-                     full1.find("exec_seconds")->number());
+    ASSERT_TRUE(field(after, "ok").boolean()) << after.dump();
+    EXPECT_DOUBLE_EQ(field(after, "exec_seconds").number(),
+                     field(full1, "exec_seconds").number());
 
     client.close();
     server.stop();
@@ -959,8 +948,8 @@ TEST_F(ServeEndToEnd, CancelOpStopsARunningEvaluateById)
     while (!done.load() && matched < 1.0) {
         const Json r = client.request(
             parseJson(R"({"op":"cancel","target":"slow"})"));
-        ASSERT_TRUE(r.find("ok")->boolean()) << r.dump();
-        matched = r.find("cancelled")->number();
+        ASSERT_TRUE(field(r, "ok").boolean()) << r.dump();
+        matched = field(r, "cancelled").number();
     }
     runner.join();
     EXPECT_GE(matched, 1.0);
@@ -969,12 +958,12 @@ TEST_F(ServeEndToEnd, CancelOpStopsARunningEvaluateById)
     // A finished request is out of the in-flight table.
     const Json gone = client.request(
         parseJson(R"({"op":"cancel","target":"slow"})"));
-    EXPECT_DOUBLE_EQ(gone.find("cancelled")->number(), 0.0);
+    EXPECT_DOUBLE_EQ(field(gone, "cancelled").number(), 0.0);
 
     // And the daemon still evaluates cleanly.
     const Json after =
         parseJson(client.requestLine(evalLine(w, R"(,"threads":1)")));
-    EXPECT_TRUE(after.find("ok")->boolean()) << after.dump();
+    EXPECT_TRUE(field(after, "ok").boolean()) << after.dump();
 
     client.close();
     server.stop();
@@ -1003,7 +992,7 @@ TEST_F(ServeEndToEnd, StopCancelsInFlightRunsWithShutdownReason)
     for (;;) {
         const Json s =
             client.request(parseJson(R"({"op":"stats"})"));
-        if (s.find("admission")->find("in_flight")->number() >= 1.0)
+        if (field(field(s, "admission"), "in_flight").number() >= 1.0)
             break;
         std::this_thread::yield();
     }

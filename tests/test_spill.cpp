@@ -19,6 +19,8 @@
 #include "compiler/pipeline.hpp"
 #include "workloads/datasets.hpp"
 
+#include "support.hpp"
+
 namespace teaal
 {
 namespace
@@ -29,36 +31,16 @@ using compiler::RunOptions;
 using compiler::SimulationResult;
 using compiler::Workload;
 
-class TempDir
+using test::TempDir;
+
+std::size_t
+fileCount(const TempDir& tmp)
 {
-  public:
-    TempDir()
-    {
-        const auto* info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = fs::temp_directory_path() /
-               (std::string("teaal_spill_") + info->test_suite_name() +
-                "_" + info->name());
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-    }
-
-    ~TempDir() { fs::remove_all(dir_); }
-
-    std::string str() const { return dir_.string(); }
-
-    std::size_t
-    fileCount() const
-    {
-        std::size_t n = 0;
-        for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir_))
-            ++n;
-        return n;
-    }
-
-  private:
-    fs::path dir_;
-};
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e : fs::directory_iterator(tmp.dir()))
+        ++n;
+    return n;
+}
 
 /** Semantic stream log with batch boundaries (the packed-exec test's
  *  recorder): spilled replay must deliver the identical sequence. */
@@ -259,7 +241,7 @@ TEST_P(SpillAccelerators, SpilledShardedRunMatchesResidentAndSerial)
     EXPECT_GT(spilled.spill.files, 0u) << GetParam();
     EXPECT_GT(spilled.spill.frames, 0u) << GetParam();
     EXPECT_GT(spilled.spill.bytes, 0u) << GetParam();
-    EXPECT_EQ(tmp.fileCount(), 0u) << GetParam();
+    EXPECT_EQ(fileCount(tmp), 0u) << GetParam();
 
     // Resident runs report no spill activity.
     EXPECT_EQ(resident.spill.files, 0u);
@@ -285,7 +267,7 @@ TEST(Spill, SerialRunsNeverTouchTheDirectory)
     const SimulationResult r = model.run(w, opts);
     EXPECT_EQ(r.spill.files, 0u);
     EXPECT_EQ(r.spill.frames, 0u);
-    EXPECT_EQ(tmp.fileCount(), 0u);
+    EXPECT_EQ(fileCount(tmp), 0u);
 }
 
 TEST(Spill, LargeSegmentsMeanNoFilesButIdenticalResults)
@@ -306,7 +288,7 @@ TEST(Spill, LargeSegmentsMeanNoFilesButIdenticalResults)
 
     expectSameResults(resident, spilled);
     EXPECT_EQ(spilled.spill.files, 0u);
-    EXPECT_EQ(tmp.fileCount(), 0u);
+    EXPECT_EQ(fileCount(tmp), 0u);
 }
 
 TEST(Spill, KeepRetainsSegmentsForInspection)
@@ -322,7 +304,7 @@ TEST(Spill, KeepRetainsSegmentsForInspection)
     opts.spillKeep = true;
     const SimulationResult r = model.run(w, opts);
     EXPECT_GT(r.spill.files, 0u);
-    EXPECT_GT(tmp.fileCount(), 0u);
+    EXPECT_GT(fileCount(tmp), 0u);
 
     // Retained segments are real files with the reported bytes.
     std::uint64_t on_disk = 0;

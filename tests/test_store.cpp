@@ -23,6 +23,8 @@
 #include "util/diagnostic.hpp"
 #include "workloads/datasets.hpp"
 
+#include "support.hpp"
+
 namespace teaal
 {
 namespace
@@ -33,34 +35,7 @@ using compiler::RunOptions;
 using compiler::SimulationResult;
 using compiler::Workload;
 
-/** Per-test scratch directory, removed on destruction. */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        const auto* info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = fs::temp_directory_path() /
-               (std::string("teaal_store_") + info->test_suite_name() +
-                "_" + info->name());
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-    }
-
-    ~TempDir() { fs::remove_all(dir_); }
-
-    std::string
-    path(const std::string& file) const
-    {
-        return (dir_ / file).string();
-    }
-
-    const fs::path& dir() const { return dir_; }
-
-  private:
-    fs::path dir_;
-};
+using test::TempDir;
 
 storage::PackedTensor
 samplePacked(std::uint64_t seed, const fmt::TensorFormat& tf = {})

@@ -26,18 +26,6 @@ namespace
 
 using namespace teaal;
 
-/** Batch-aware no-op sink: absorbs whole batches so the bench times
- *  the walk, not per-event virtual dispatch. */
-class NullSink : public trace::Observer
-{
-  public:
-    void
-    onEventBatch(const trace::EventBatch& batch) override
-    {
-        (void)batch;
-    }
-};
-
 double
 timeRun(const ir::EinsumPlan& plan, unsigned threads, int iters)
 {
@@ -45,7 +33,7 @@ timeRun(const ir::EinsumPlan& plan, unsigned threads, int iters)
     opts.threads = threads;
     return bench::bestSeconds(
         [&]() {
-            NullSink sink;
+            trace::Observer sink; // drops every batch
             exec::Executor ex(plan, sink, exec::Semiring::arithmetic(),
                               opts);
             ex.run();
@@ -132,7 +120,7 @@ main()
 
     // Functional sanity: both backends produce the same output.
     {
-        NullSink sink;
+        trace::Observer sink; // drops every batch
         exec::Executor pex(pointer_plan, sink,
                            exec::Semiring::arithmetic(), {});
         exec::Executor kex(packed_plan, sink,

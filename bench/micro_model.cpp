@@ -34,16 +34,6 @@ namespace
 
 using namespace teaal;
 
-/** Inert observer: attaching it forces the full-capture fallback. */
-class NoopObserver : public trace::Observer
-{
-  public:
-    void onEventBatch(const trace::EventBatch& batch) override
-    {
-        (void)batch;
-    }
-};
-
 bool
 sameTraffic(const compiler::SimulationResult& a,
             const compiler::SimulationResult& b)
@@ -70,7 +60,7 @@ runOne(const std::string& accel_name, compiler::Specification spec,
     // Reference for the per-row equivalence check.
     const compiler::SimulationResult ref = model.run(w);
 
-    NoopObserver noop;
+    trace::Observer noop; // inert; attaching it forces full capture
     double replay_t1_ms = 0;
     for (const unsigned threads : {1u, 2u, 4u}) {
         double mode_ms[2] = {0, 0};

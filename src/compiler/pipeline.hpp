@@ -185,9 +185,9 @@ struct RunOptions
     /// different semiring gets its own plan instantiation.
     exec::Semiring semiring = exec::Semiring::arithmetic();
 
-    /// Extra trace sinks fed alongside the performance model (each
-    /// receives the same event batches; batch-aware sinks consume
-    /// them directly). Must outlive the run() call.
+    /// Extra trace sinks fed alongside the performance model: each
+    /// receives every event batch the model does, in the same order.
+    /// Must outlive the run() call.
     std::vector<trace::Observer*> observers;
 
     /// Override the planned co-iteration strategy of specific loop

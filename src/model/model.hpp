@@ -86,31 +86,12 @@ class ModelObserver : public trace::Observer
                   const std::set<std::string>& on_chip);
 
     /**
-     * Batch entry point: consumes the engine's trace batches directly
-     * (one virtual call per batch, non-virtual dispatch per record),
-     * routing each record to its tier. Produces action counts
-     * bit-identical to the per-event path.
+     * Trace entry point: one virtual call per batch, then each record
+     * goes to its tier by the classifier — stateful records to the
+     * storage replay, datapath records to the coordinator's
+     * accumulator.
      */
     void onEventBatch(const trace::EventBatch& batch) override;
-
-    void onLoopEnter(std::size_t loop, ft::Coord c) override;
-    void onCoIterate(std::size_t loop, std::size_t steps,
-                     std::size_t matches, std::size_t drivers,
-                     std::uint64_t pe) override;
-    void onCoordScan(int input, std::size_t level, std::size_t count,
-                     std::uint64_t pe) override;
-    void onTensorAccess(int input, const std::string& tensor,
-                        std::size_t level, ft::Coord c, const void* key,
-                        const ft::Payload* payload,
-                        std::uint64_t pe) override;
-    void onOutputWrite(const std::string& tensor, std::size_t level,
-                       ft::Coord c, std::uint64_t path_key, bool inserted,
-                       bool at_leaf, std::uint64_t pe) override;
-    void onCompute(char op, std::uint64_t pe, std::size_t count) override;
-    void onSwizzle(const std::string& tensor, std::size_t elements,
-                   std::size_t ways, bool online) override;
-    void onTensorCopy(const std::string& from, const std::string& to,
-                      std::size_t elements) override;
 
     /**
      * Drain remaining buffers, merge the shard accumulators (in

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "storage/packed.hpp"
+#include "util/error.hpp"
 
 namespace teaal::model
 {
@@ -158,19 +159,18 @@ StorageReplay::tensorAccess(int input, std::size_t level, const void* key,
     UnitState& state = units_[u];
     double bytes = r.payloadBytes;
     if (info.eager && info.boundLevel == static_cast<int>(level)) {
+        TEAAL_ASSERT(payload != nullptr || packed != nullptr,
+                     "eager fill of input ", input, " level ", level,
+                     " without payload or packed position");
         if (payload != nullptr) {
             const ir::TensorPlan& tp = t_.plan->inputs[i];
             bytes = subtreeBytes(info, payload, level,
                                  tp.prepared.rankIds());
-        } else if (packed != nullptr) {
+        } else {
             bytes = packedSubtreeBytes(
                 info, static_cast<const storage::PackedTensor*>(packed),
                 level, pos, key);
         }
-        // Neither set (a packed access replayed through the bare
-        // streaming interface): fall back to the per-payload width —
-        // batch delivery, which the pipeline always uses, carries the
-        // packed context and charges the exact subtree.
     }
     bool hit;
     if (info.isCache)

@@ -2,16 +2,12 @@
  * @file
  * Batched trace bus (paper §4.3 "trace generation", restructured).
  *
- * The execution engine used to fire one virtual `Observer` callback
- * per logical event — one `onLoopEnter`/`onTensorAccess`/... call per
- * coordinate of every fiber walk. The bus instead records events as
- * compact PODs in an `EventBatch` and delivers whole batches through a
- * single virtual call (`Observer::onEventBatch`), flushed at fiber-walk
- * boundaries. The default `onEventBatch` replays the records through
- * the per-event virtual interface in their original order, so every
- * observer — including ones written against the streaming API — sees a
- * bit-identical event sequence; batch-aware observers (the performance
- * model) override it and skip the per-event dispatch entirely.
+ * The engine records every logical event — each coordinate of every
+ * fiber walk — as a compact POD `Event` in an `EventBatch`, and
+ * delivers whole batches through a single virtual call
+ * (`Observer::onEventBatch`), flushed at fiber-walk boundaries. Sinks
+ * read the records in emission order with non-virtual dispatch; the
+ * `Event` fields each kind sets are listed on the producers below.
  */
 #pragma once
 

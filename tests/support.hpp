@@ -9,10 +9,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "serve/json.hpp"
+#include "trace/batch.hpp"
+#include "trace/observer.hpp"
 
 namespace teaal::test
 {
@@ -77,5 +81,72 @@ field(const serve::Json& r, const std::string& key)
     ADD_FAILURE() << "no \"" << key << "\" in " << r.dump();
     throw std::runtime_error("missing JSON member '" + key + "'");
 }
+
+/**
+ * Records the delivered trace as a flat string log: one `batch:N`
+ * line per batch, then one line per record with its kind tag and
+ * pointer-free fields. Two runs that deliver the same events in the
+ * same batches produce equal logs. Pointer, packed and mapped inputs
+ * differ only in the identity fields (`ptr`, `payload`, `packed`, and
+ * the packed position in `a`), which are left out, so equal logs
+ * mean equal streams across storage paths.
+ */
+class BatchRecorder : public trace::Observer
+{
+  public:
+    std::vector<std::string> log;
+
+    void
+    onEventBatch(const trace::EventBatch& batch) override
+    {
+        log.push_back("batch:" + std::to_string(batch.size()));
+        for (const trace::Event& e : batch.events)
+            record(e);
+    }
+
+  private:
+    void
+    record(const trace::Event& e)
+    {
+        using K = trace::Event::Kind;
+        switch (e.kind) {
+          case K::LoopEnter:
+            add("L", e.loop, e.coord);
+            break;
+          case K::CoIterate:
+            add("I", e.loop, e.a, e.b, e.c, e.pe);
+            break;
+          case K::CoordScan:
+            add("S", e.input, e.level, e.a, e.pe);
+            break;
+          case K::TensorAccess:
+            add("A", e.input, e.level, e.coord, e.pe, *e.name);
+            break;
+          case K::OutputWrite:
+            add("W", e.level, e.coord, e.key, e.flagA, e.flagB, e.pe,
+                *e.name);
+            break;
+          case K::Compute:
+            add("C", e.op, e.pe, e.a);
+            break;
+          case K::Swizzle:
+            add("Z", e.a, e.b, e.flagA, *e.name);
+            break;
+          case K::TensorCopy:
+            add("Y", e.a, *e.name + ">" + *e.name2);
+            break;
+        }
+    }
+
+    template <typename... Args>
+    void
+    add(const char* tag, const Args&... args)
+    {
+        std::ostringstream os;
+        os << tag;
+        ((os << ':' << args), ...);
+        log.push_back(os.str());
+    }
+};
 
 } // namespace teaal::test

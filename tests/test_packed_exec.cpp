@@ -11,13 +11,13 @@
  */
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "accelerators/accelerators.hpp"
 #include "compiler/pipeline.hpp"
 #include "storage/packed.hpp"
 #include "util/diagnostic.hpp"
 #include "workloads/datasets.hpp"
+
+#include "support.hpp"
 
 namespace teaal
 {
@@ -28,6 +28,7 @@ using compiler::CompiledModel;
 using compiler::RunOptions;
 using compiler::SimulationResult;
 using compiler::Workload;
+using test::BatchRecorder;
 
 accel::GammaConfig
 smallGamma()
@@ -89,87 +90,6 @@ makeMatrices(std::uint64_t seed)
                                      {"K", "N"})};
 }
 
-/** Semantic stream log (no pointers), batch boundaries included, so
- *  packed and pointer runs can be compared for identical delivery. */
-class StreamRecorder : public trace::Observer
-{
-  public:
-    std::vector<std::string> log;
-
-    void
-    onEventBatch(const trace::EventBatch& batch) override
-    {
-        log.push_back("batch:" + std::to_string(batch.size()));
-        trace::Observer::onEventBatch(batch); // replay per-event below
-    }
-
-    void
-    onLoopEnter(std::size_t loop, ft::Coord c) override
-    {
-        add("L", loop, c);
-    }
-    void
-    onCoIterate(std::size_t loop, std::size_t steps, std::size_t matches,
-                std::size_t drivers, std::uint64_t pe) override
-    {
-        add("I", loop, steps, matches, drivers, pe);
-    }
-    void
-    onCoordScan(int input, std::size_t level, std::size_t count,
-                std::uint64_t pe) override
-    {
-        add("S", input, level, count, pe);
-    }
-    void
-    onTensorAccess(int input, const std::string& tensor,
-                   std::size_t level, ft::Coord c, const void* key,
-                   const ft::Payload* payload, std::uint64_t pe) override
-    {
-        (void)key;
-        (void)payload;
-        add("A", input, level, c, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onOutputWrite(const std::string& tensor, std::size_t level,
-                  ft::Coord c, std::uint64_t path_key, bool inserted,
-                  bool at_leaf, std::uint64_t pe) override
-    {
-        add("W", level, c, path_key, inserted, at_leaf, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onCompute(char op, std::uint64_t pe, std::size_t count) override
-    {
-        add("C", op, pe, count);
-    }
-    void
-    onSwizzle(const std::string& tensor, std::size_t elements,
-              std::size_t ways, bool online) override
-    {
-        add("Z", elements, ways, online);
-        log.back() += ":" + tensor;
-    }
-    void
-    onTensorCopy(const std::string& from, const std::string& to,
-                 std::size_t elements) override
-    {
-        add("Y", elements);
-        log.back() += ":" + from + ">" + to;
-    }
-
-  private:
-    template <typename... Args>
-    void
-    add(const char* tag, Args... args)
-    {
-        std::ostringstream os;
-        os << tag;
-        ((os << ':' << args), ...);
-        log.push_back(os.str());
-    }
-};
-
 void
 expectSameResults(const SimulationResult& x, const SimulationResult& y)
 {
@@ -225,13 +145,13 @@ expectPackedEquivalence(compiler::Specification spec, unsigned threads,
     Workload packed_w;
     packed_w.add("A", packedA).add("B", packedB);
 
-    StreamRecorder pointer_rec;
+    BatchRecorder pointer_rec;
     RunOptions opts;
     opts.threads = threads;
     opts.observers = {&pointer_rec};
     const SimulationResult base = model.run(pointer_w, opts);
 
-    StreamRecorder packed_rec;
+    BatchRecorder packed_rec;
     opts.observers = {&packed_rec};
     const SimulationResult packed = model.run(packed_w, opts);
 
@@ -366,8 +286,8 @@ TEST(PackedBinding, ConcordantInputsBindWithoutClonesOrFibers)
     w.add("A", in.a).add("B", in.b);
     Workload pw;
     pw.add("A", in.a.toTensor()).add("B", in.b.toTensor());
-    StreamRecorder packed_rec;
-    StreamRecorder pointer_rec;
+    BatchRecorder packed_rec;
+    BatchRecorder pointer_rec;
     RunOptions opts;
     opts.observers = {&packed_rec};
     const SimulationResult packed = model.run(w, opts);
@@ -385,13 +305,13 @@ TEST(PackedBinding, ShardedPackedExecutionMatchesSerial)
     Workload w;
     w.add("A", in.a).add("B", in.b);
 
-    StreamRecorder serial_rec;
+    BatchRecorder serial_rec;
     RunOptions opts;
     opts.observers = {&serial_rec};
     opts.threads = 1;
     const SimulationResult serial = model.run(w, opts);
 
-    StreamRecorder sharded_rec;
+    BatchRecorder sharded_rec;
     opts.observers = {&sharded_rec};
     opts.threads = 4;
     const SimulationResult sharded = model.run(w, opts);
@@ -430,8 +350,8 @@ TEST(PackedBinding, DenseDriveOverrideProbesPackedViews)
 
         RunOptions opts;
         opts.coiterOverrides = {{"K", ir::CoiterStrategy::DenseDrive}};
-        StreamRecorder packed_rec;
-        StreamRecorder pointer_rec;
+        BatchRecorder packed_rec;
+        BatchRecorder pointer_rec;
         opts.observers = {&packed_rec};
         const SimulationResult packed = model.run(packed_w, opts);
         opts.observers = {&pointer_rec};
@@ -452,8 +372,8 @@ TEST(PackedBinding, MixedPointerAndPackedInputs)
     Workload pointer_w;
     pointer_w.add("A", in.a.toTensor()).add("B", in.b.toTensor());
 
-    StreamRecorder mixed_rec;
-    StreamRecorder pointer_rec;
+    BatchRecorder mixed_rec;
+    BatchRecorder pointer_rec;
     RunOptions opts;
     opts.observers = {&mixed_rec};
     const SimulationResult mixed_r = model.run(mixed, opts);

@@ -280,14 +280,31 @@ TEST(Pipeline, ExtraObserversSeeEveryEvent)
     w.add("A", mats.a).add("B", mats.b);
     const SimulationResult base = model.run(w);
 
-    CountingObserver counter;
-    RunOptions opts;
-    opts.observers.push_back(&counter);
-    const SimulationResult observed = model.run(w, opts);
+    // At threads >= 2 an extra observer turns off the in-shard model
+    // split: the sharded run captures everything and replays it in
+    // order, so the observer sees the serial stream.
+    std::size_t serial_batches = 0;
+    std::size_t serial_events = 0;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        CountingObserver counter;
+        RunOptions opts;
+        opts.threads = threads;
+        opts.observers.push_back(&counter);
+        const SimulationResult observed = model.run(w, opts);
 
-    EXPECT_GT(counter.batches, 0u);
-    EXPECT_GT(counter.events, 0u);
-    expectSameResults(base, observed);
+        EXPECT_GT(counter.batches, 0u) << "threads=" << threads;
+        EXPECT_EQ(counter.events, observed.perf.traceEvents)
+            << "threads=" << threads;
+        EXPECT_EQ(counter.batches, observed.perf.traceBatches)
+            << "threads=" << threads;
+        if (threads == 1) {
+            serial_batches = counter.batches;
+            serial_events = counter.events;
+        }
+        EXPECT_EQ(counter.batches, serial_batches) << "threads=" << threads;
+        EXPECT_EQ(counter.events, serial_events) << "threads=" << threads;
+        expectSameResults(base, observed);
+    }
 }
 
 // ------------------------------------------------------- diagnostics

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 #include <vector>
 
 #include "accelerators/accelerators.hpp"
@@ -30,6 +29,7 @@ namespace fs = std::filesystem;
 using compiler::RunOptions;
 using compiler::SimulationResult;
 using compiler::Workload;
+using test::BatchRecorder;
 
 using test::TempDir;
 
@@ -41,86 +41,6 @@ fileCount(const TempDir& tmp)
         ++n;
     return n;
 }
-
-/** Semantic stream log with batch boundaries (the packed-exec test's
- *  recorder): spilled replay must deliver the identical sequence. */
-class StreamRecorder : public trace::Observer
-{
-  public:
-    std::vector<std::string> log;
-
-    void
-    onEventBatch(const trace::EventBatch& batch) override
-    {
-        log.push_back("batch:" + std::to_string(batch.size()));
-        trace::Observer::onEventBatch(batch);
-    }
-    void
-    onLoopEnter(std::size_t loop, ft::Coord c) override
-    {
-        add("L", loop, c);
-    }
-    void
-    onCoIterate(std::size_t loop, std::size_t steps, std::size_t matches,
-                std::size_t drivers, std::uint64_t pe) override
-    {
-        add("I", loop, steps, matches, drivers, pe);
-    }
-    void
-    onCoordScan(int input, std::size_t level, std::size_t count,
-                std::uint64_t pe) override
-    {
-        add("S", input, level, count, pe);
-    }
-    void
-    onTensorAccess(int input, const std::string& tensor,
-                   std::size_t level, ft::Coord c, const void* key,
-                   const ft::Payload* payload, std::uint64_t pe) override
-    {
-        (void)key;
-        (void)payload;
-        add("A", input, level, c, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onOutputWrite(const std::string& tensor, std::size_t level,
-                  ft::Coord c, std::uint64_t path_key, bool inserted,
-                  bool at_leaf, std::uint64_t pe) override
-    {
-        add("W", level, c, path_key, inserted, at_leaf, pe);
-        log.back() += ":" + tensor;
-    }
-    void
-    onCompute(char op, std::uint64_t pe, std::size_t count) override
-    {
-        add("C", op, pe, count);
-    }
-    void
-    onSwizzle(const std::string& tensor, std::size_t elements,
-              std::size_t ways, bool online) override
-    {
-        add("Z", elements, ways, online);
-        log.back() += ":" + tensor;
-    }
-    void
-    onTensorCopy(const std::string& from, const std::string& to,
-                 std::size_t elements) override
-    {
-        add("Y", elements);
-        log.back() += ":" + from + ">" + to;
-    }
-
-  private:
-    template <typename... Args>
-    void
-    add(const char* tag, Args... args)
-    {
-        std::ostringstream os;
-        os << tag;
-        ((os << ':' << args), ...);
-        log.push_back(os.str());
-    }
-};
 
 void
 expectSameResults(const SimulationResult& x, const SimulationResult& y)
@@ -212,19 +132,19 @@ TEST_P(SpillAccelerators, SpilledShardedRunMatchesResidentAndSerial)
     auto model = compiler::compile(specFor(GetParam()));
     const Workload w = workloadFor(41);
 
-    StreamRecorder serial_rec;
+    BatchRecorder serial_rec;
     RunOptions opts;
     opts.threads = 1;
     opts.observers = {&serial_rec};
     const SimulationResult serial = model.run(w, opts);
 
-    StreamRecorder resident_rec;
+    BatchRecorder resident_rec;
     opts.threads = 4;
     opts.observers = {&resident_rec};
     const SimulationResult resident = model.run(w, opts);
 
     const TempDir tmp;
-    StreamRecorder spilled_rec;
+    BatchRecorder spilled_rec;
     opts.spillDir = tmp.str();
     // Tiny segments force many frames per slice, exercising every
     // frame-boundary path (walkEnd cuts, counter restarts, replay).

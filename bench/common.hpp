@@ -19,9 +19,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,24 @@ bestSeconds(const std::function<void()>& fn, int iters)
             best, std::chrono::duration<double>(t1 - t0).count());
     }
     return best;
+}
+
+/** Peak resident set size (VmHWM) in KiB; 0 when /proc/self/status
+ *  is unavailable. */
+inline std::size_t
+peakRssKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0) {
+            std::istringstream is(line.substr(6));
+            std::size_t kb = 0;
+            is >> kb;
+            return kb;
+        }
+    }
+    return 0;
 }
 
 /** Scale factor from an environment variable. */

@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <span>
+#include <vector>
 
 #include "compiler/pipeline.hpp"
 #include "exec/executor.hpp"
@@ -94,6 +96,38 @@ BM_Swizzle(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Swizzle)->Arg(10000)->Arg(100000);
+
+/**
+ * Gamma's merger swizzle of T[m, k, n] = take(A[m, k], B[k, n]) from
+ * [M, K, N] to [M, N, K]: the M prefix is kept, so the sort only
+ * reorders within each row of A.
+ */
+void
+BM_SwizzleDeep(benchmark::State& state)
+{
+    const auto a = workloads::uniformMatrix("A", 1024, 1024, 10000, 43,
+                                            {"K", "M"});
+    const auto b = workloads::uniformMatrix("B", 1024, 1024, 10000, 44,
+                                            {"K", "N"});
+    std::map<ft::Coord, std::vector<ft::Coord>> b_rows;
+    b.forEachLeaf([&](std::span<const ft::Coord> p, ft::Value) {
+        b_rows[p[0]].push_back(p[1]);
+    });
+    std::vector<std::pair<std::vector<ft::Coord>, ft::Value>> elems;
+    a.forEachLeaf([&](std::span<const ft::Coord> p, ft::Value v) {
+        for (const ft::Coord n : b_rows[p[0]])
+            elems.push_back({{p[1], p[0], n}, v});
+    });
+    const auto t = ft::Tensor::fromCoo("T", {"M", "K", "N"},
+                                       {1024, 1024, 1024}, elems);
+    for (auto _ : state) {
+        auto s = ft::swizzle(t, {"M", "N", "K"});
+        benchmark::DoNotOptimize(s.root());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(elems.size()));
+}
+BENCHMARK(BM_SwizzleDeep);
 
 void
 BM_PartitionOccupancy(benchmark::State& state)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Out-of-core microbench (PR 10): the two costs the mmap store and
- * the trace spill layer exist to remove.
+ * Out-of-core microbench: the two costs the mmap store and the trace
+ * spill layer exist to remove, and the offline input preparation
+ * between them.
  *
  * 1. Cold start. A ~10x-validation-scale power-law matrix is written
  *    as Matrix Market and as a packed store (what `teaal-pack` emits);
@@ -12,7 +13,13 @@
  *    the bench (exit 1), same contract as micro_parallel's
  *    determinism check.
  *
- * 2. Spilled vs resident sharded replay. The same big matrix drives a
+ * 2. Preparation. Gamma's offline preparation of the mapped A (§3.2.2):
+ *    the [K, M] -> [M, K] swizzle straight off the store's rank
+ *    buffers, then the uniform_occupancy splits of M and K, the first
+ *    copying the swizzled tree as the planner does, the second
+ *    restructuring that copy in place.
+ *
+ * 3. Spilled vs resident sharded replay. The same big matrix drives a
  *    Gamma SpMSpM against a diagonal B (linear work — the input is
  *    huge, the compute is not), threads = 4, once with
  *    RunOptions::spillDir set and once resident. The spilled run goes
@@ -24,17 +31,16 @@
  *    machines. Requires /proc/self/status (skipped gracefully
  *    elsewhere).
  *
- * Emits bench::jsonRow lines (phase = parse_pack | mmap | spilled |
- * resident) for the CI artifact; the threads=1 cold-start rows feed
- * the ci/perf_diff.py wall-time gate.
+ * Emits bench::jsonRow lines (phase = parse_pack | mmap | prepare |
+ * spilled | resident) for the CI artifact; the threads=1 cold-start
+ * and prepare rows feed the ci/perf_diff.py wall-time gate.
  */
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "common.hpp"
+#include "fibertree/transform.hpp"
 #include "storage/packed.hpp"
 #include "storage/store.hpp"
 #include "workloads/mtx.hpp"
@@ -44,23 +50,6 @@ namespace
 
 using namespace teaal;
 namespace fs = std::filesystem;
-
-/** Peak resident set size (VmHWM) in KiB; 0 when unavailable. */
-std::size_t
-peakRssKb()
-{
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line)) {
-        if (line.rfind("VmHWM:", 0) == 0) {
-            std::istringstream is(line.substr(6));
-            std::size_t kb = 0;
-            is >> kb;
-            return kb;
-        }
-    }
-    return 0;
-}
 
 double
 onceSeconds(const std::function<void()>& fn)
@@ -145,7 +134,39 @@ main()
         return 1;
     }
 
-    // ---- 2. spilled vs resident sharded replay ----------------------
+    // ---- 2. Gamma's preparation of the mapped A ----------------------
+    // Timed before the runs so its allocations do not set the RSS
+    // watermark the spill check compares. Best of three after a
+    // warmup, like bench::bestSeconds, but the leaf count checked
+    // below stays outside the timed region.
+    const accel::GammaConfig gamma_cfg;
+    double prepare_s = 1e30;
+    std::size_t prepared_nnz = 0;
+    for (int i = 0; i < 4; ++i) {
+        ft::Tensor prepared;
+        const double s = onceSeconds([&]() {
+            const ft::Tensor swizzled = ft::swizzle(mapped, {"M", "K"});
+            prepared = ft::splitRankByOccupancy(
+                swizzled, "M", gamma_cfg.rowChunk, "M1", "M0");
+            prepared = ft::splitRankByOccupancy(
+                std::move(prepared), "K", gamma_cfg.kChunk, "K1", "K0");
+        });
+        if (i > 0)
+            prepare_s = std::min(prepare_s, s);
+        prepared_nnz = prepared.nnz();
+    }
+    if (prepared_nnz != mapped.nnz()) {
+        std::cerr << "PREPARE MISMATCH: prepared A holds " << prepared_nnz
+                  << " leaves, the store " << mapped.nnz() << "\n";
+        return 1;
+    }
+    table.addRow({"prepare", TextTable::num(prepare_s * 1e3, 2), "-",
+                  "-"});
+    bench::jsonRow(std::cout, "micro_outofcore", {{"phase", "prepare"}},
+                   {{"nnz", static_cast<double>(prepared_nnz)}}, 1,
+                   prepare_s * 1e3);
+
+    // ---- 3. spilled vs resident sharded replay ----------------------
     // Diagonal B keeps the compute linear in nnz(A) while the trace —
     // what the spill layer actually bounds — stays large.
     const ft::Tensor diag = workloads::bandedMatrix(
@@ -168,13 +189,13 @@ main()
     compiler::SimulationResult spilled;
     const double spill_s =
         onceSeconds([&]() { spilled = model.run(w, opts); });
-    const std::size_t spill_hwm_kb = peakRssKb();
+    const std::size_t spill_hwm_kb = bench::peakRssKb();
 
     opts.spillDir.clear();
     compiler::SimulationResult resident;
     const double resident_s =
         onceSeconds([&]() { resident = model.run(w, opts); });
-    const std::size_t resident_hwm_kb = peakRssKb();
+    const std::size_t resident_hwm_kb = bench::peakRssKb();
 
     table.addRow({"spilled t4", TextTable::num(spill_s * 1e3, 1), "-",
                   TextTable::num(spill_hwm_kb / 1024.0, 1)});

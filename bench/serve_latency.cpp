@@ -59,23 +59,6 @@ nowSeconds(Clock::time_point since)
     return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-/** Peak resident set (kB) from /proc/self/status, 0 if unreadable. */
-double
-peakRssKb()
-{
-    std::FILE* f = std::fopen("/proc/self/status", "r");
-    if (f == nullptr)
-        return 0;
-    char line[256];
-    double kb = 0;
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-        if (std::sscanf(line, "VmHWM: %lf kB", &kb) == 1)
-            break;
-    }
-    std::fclose(f);
-    return kb;
-}
-
 struct SweepPoint
 {
     double targetQps = 0;
@@ -358,7 +341,7 @@ main()
     }
     std::cout << dtable.render() << "\n";
 
-    const double rssKb = peakRssKb();
+    const auto rssKb = static_cast<double>(bench::peakRssKb());
     std::cout << "peak RSS: " << rssKb << " kB\n";
     const serve::Json stats = serve::parseJson(
         control.requestLine("{\"op\":\"stats\"}"));

@@ -430,9 +430,8 @@ CompiledModel::prepareInputs(WorkloadState& st, const Workload& w) const
         return;
     // Apply the declared rank-order offline (§3.2.2: input swizzles
     // are preprocessing and cost nothing). Concordant inputs are used
-    // in place — no copy of any kind. Discordant *packed* inputs take
-    // the legacy path: unpacked once here, then swizzled like any
-    // pointer tensor.
+    // in place — no copy of any kind. Discordant *packed* inputs are
+    // swizzled straight off their rank buffers into a pointer tree.
     for (const std::string& name : spec_.einsums.inputTensors()) {
         const auto& order = spec_.mapping.rankOrder(name);
         if (order.empty())
@@ -440,7 +439,7 @@ CompiledModel::prepareInputs(WorkloadState& st, const Workload& w) const
         if (const auto pk = w.packed(name)) {
             if (pk->rankIds() != order) {
                 st.swizzledInputs.insert_or_assign(
-                    name, ft::swizzle(pk->toTensor(), order));
+                    name, ft::swizzle(*pk, order));
             }
             continue;
         }
@@ -764,7 +763,7 @@ CompiledModel::algorithmicMinBytes(const Workload& workload,
         const auto& order = spec_.mapping.rankOrder(name);
         if (const auto pk = workload.packed(name)) {
             if (!order.empty() && pk->rankIds() != order) {
-                add(name, ft::swizzle(pk->toTensor(), order));
+                add(name, ft::swizzle(*pk, order));
             } else {
                 // Concordant packed input: bits straight off the
                 // packed buffers (identical to the formula on the

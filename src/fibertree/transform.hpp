@@ -2,9 +2,16 @@
  * @file
  * Content-preserving fibertree transformations (paper §2.1, §3.2):
  * rank swizzling, rank flattening, and rank partitioning (uniform
- * shape, uniform occupancy, and explicit-boundary for leader-follower
- * adoption). None of these change the set of leaf values — only the
- * coordinate system used to reach them.
+ * shape and uniform occupancy). None of these change the set of leaf
+ * values — only the coordinate system used to reach them.
+ *
+ * Every transform is one O(nnz) pass. A swizzle gathers the leaves
+ * once into flat coordinate rows and builds the output tree from them
+ * in sorted order. Flatten and split restructure fibers at one level;
+ * their rvalue overloads do it in place on a tensor the caller gives
+ * up, while the const& overloads deep-copy the tree first, so a
+ * borrowed input is never mutated. None keeps shared scratch, so
+ * concurrent calls on distinct outputs are safe.
  */
 #pragma once
 
@@ -13,14 +20,28 @@
 
 #include "fibertree/tensor.hpp"
 
+namespace teaal::storage
+{
+class PackedTensor;
+} // namespace teaal::storage
+
 namespace teaal::ft
 {
 
 /**
  * Reorder the levels of the fibertree to @p new_order, which must be a
- * permutation of the tensor's rank ids (paper Figure 4).
+ * permutation of the tensor's rank ids (paper Figure 4). Empty
+ * subfibers are dropped; zero-valued leaves are kept.
  */
 Tensor swizzle(const Tensor& t, const std::vector<std::string>& new_order);
+
+/**
+ * Swizzle a packed tensor straight off its rank buffers: the result
+ * is the pointer tree `swizzle(t.toTensor(), new_order)` would build,
+ * without materializing the unswizzled tree first.
+ */
+Tensor swizzle(const storage::PackedTensor& t,
+               const std::vector<std::string>& new_order);
 
 /**
  * Flatten adjacent ranks @p upper_id (directly above) and @p lower_id
@@ -30,6 +51,8 @@ Tensor swizzle(const Tensor& t, const std::vector<std::string>& new_order);
  */
 Tensor flattenRanks(const Tensor& t, const std::string& upper_id,
                     const std::string& lower_id);
+Tensor flattenRanks(Tensor&& t, const std::string& upper_id,
+                    const std::string& lower_id);
 
 /**
  * Split rank @p rank_id at coordinate multiples of @p tile (uniform
@@ -37,6 +60,9 @@ Tensor flattenRanks(const Tensor& t, const std::string& upper_id,
  * legal coordinate of the fiber below (i.e. c - c % tile).
  */
 Tensor splitRankByShape(const Tensor& t, const std::string& rank_id,
+                        Coord tile, const std::string& upper_name,
+                        const std::string& lower_name);
+Tensor splitRankByShape(Tensor&& t, const std::string& rank_id,
                         Coord tile, const std::string& upper_name,
                         const std::string& lower_name);
 
@@ -50,18 +76,10 @@ Tensor splitRankByOccupancy(const Tensor& t, const std::string& rank_id,
                             std::size_t chunk,
                             const std::string& upper_name,
                             const std::string& lower_name);
-
-/**
- * Split rank @p rank_id at explicit coordinate boundaries, used by
- * follower tensors adopting a leader's occupancy boundaries.
- * @p starts holds each partition's first coordinate, ascending,
- * starting with the range minimum; partition j spans
- * [starts[j], starts[j+1]) with the last extending to the shape.
- */
-Tensor splitRankByBoundaries(const Tensor& t, const std::string& rank_id,
-                             const std::vector<Coord>& starts,
-                             const std::string& upper_name,
-                             const std::string& lower_name);
+Tensor splitRankByOccupancy(Tensor&& t, const std::string& rank_id,
+                            std::size_t chunk,
+                            const std::string& upper_name,
+                            const std::string& lower_name);
 
 /**
  * Occupancy boundaries of one fiber: the coordinates starting each

@@ -24,11 +24,13 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "ir/plan.hpp"
 
+#include "fibertree/occupancy.hpp"
 #include "fibertree/transform.hpp"
 #include "storage/packed.hpp"
 #include "util/diagnostic.hpp"
@@ -206,7 +208,8 @@ applySplits(BindingSource::Input& t, const RecipeGroup& info)
 /**
  * One live tensor being prepared: starts as a borrowed source and
  * becomes owned at the first transform, so inputs that need no
- * preparation are never deep-copied.
+ * preparation are never deep-copied. Once owned, flatten and split
+ * restructure the tree in place; a borrowed source is never mutated.
  */
 class TensorInput final : public BindingSource::Input
 {
@@ -237,34 +240,46 @@ class TensorInput final : public BindingSource::Input
     void
     flatten(const std::string& upper, const std::string& lower) override
     {
-        replace(ft::flattenRanks(get(), upper, lower));
+        transform([&](auto&& t) {
+            return ft::flattenRanks(std::forward<decltype(t)>(t), upper,
+                                    lower);
+        });
     }
 
     void
     split(const std::string& rank, const PartitionDirective& d,
           const std::string& upper, const std::string& lower) override
     {
-        replace(d.kind == PartitionDirective::Kind::UniformShape
-                    ? ft::splitRankByShape(get(), rank, d.tile, upper,
-                                           lower)
-                    : ft::splitRankByOccupancy(get(), rank, d.chunk,
-                                               upper, lower));
+        transform([&](auto&& t) {
+            return d.kind == PartitionDirective::Kind::UniformShape
+                       ? ft::splitRankByShape(std::forward<decltype(t)>(t),
+                                              rank, d.tile, upper, lower)
+                       : ft::splitRankByOccupancy(
+                             std::forward<decltype(t)>(t), rank, d.chunk,
+                             upper, lower);
+        });
     }
 
     std::vector<double>
     countsByDepth() const override
     {
-        std::vector<std::size_t> counts;
-        get().root()->elementCountsByDepth(counts);
-        return {counts.begin(), counts.end()};
+        const std::vector<std::size_t>& c = counts();
+        return {c.begin(), c.end()};
     }
 
-    double nnz() const override { return static_cast<double>(get().nnz()); }
+    /** Leaves are the elements of the deepest level. */
+    double
+    nnz() const override
+    {
+        const std::vector<std::size_t>& c = counts();
+        const std::size_t depth = get().numRanks();
+        return c.size() >= depth ? static_cast<double>(c[depth - 1]) : 0.0;
+    }
 
     std::vector<double>
     occupancyHints() const override
     {
-        return get().occupancyHints();
+        return ft::occupancyHintsFromCounts(counts(), get().numRanks());
     }
 
     void
@@ -282,17 +297,41 @@ class TensorInput final : public BindingSource::Input
   private:
     const ft::Tensor& get() const { return owned_ ? work_ : *src_; }
 
+    /** Per-depth element counts of the current state: one walk,
+     *  shared by the merger estimate, nnz and the hints. */
+    const std::vector<std::size_t>&
+    counts() const
+    {
+        if (!counts_) {
+            counts_.emplace();
+            if (get().root() != nullptr)
+                get().root()->elementCountsByDepth(*counts_);
+        }
+        return *counts_;
+    }
+
+    /** Apply @p fn to the owned tree (rvalue: in place) or to the
+     *  borrowed source (const&: the transform copies). */
+    template <typename Fn>
+    void
+    transform(const Fn& fn)
+    {
+        replace(owned_ ? fn(std::move(work_)) : fn(*src_));
+    }
+
     void
     replace(ft::Tensor t)
     {
         work_ = std::move(t);
         owned_ = true;
+        counts_.reset();
     }
 
     const ft::Tensor* src_;
     ft::Tensor work_;
     bool owned_ = false;
     bool share_;
+    mutable std::optional<std::vector<std::size_t>> counts_;
 };
 
 /** The trace tier's binding source: live pointer and packed tensors. */

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <sstream>
 
 #include "fibertree/coiter.hpp"
 #include "fibertree/tensor.hpp"
@@ -332,22 +334,6 @@ TEST(Transform, OccupancyBoundariesExported)
     EXPECT_EQ(occupancyBoundaries(empty, 4), (std::vector<Coord>{0}));
 }
 
-TEST(Transform, SplitByBoundariesFollowsLeader)
-{
-    // Follower adopts leader boundaries even where it has no elements.
-    const Tensor v = Tensor::fromCoo(
-        "W", {"K"}, {100},
-        {{{2}, 1.0}, {{25}, 2.0}, {{95}, 3.0}});
-    const Tensor split =
-        splitRankByBoundaries(v, "K", {0, 20, 90}, "K1", "K0");
-    const Fiber& top = *split.root();
-    ASSERT_EQ(top.size(), 3u);
-    EXPECT_EQ(top.coordAt(0), 0);
-    EXPECT_EQ(top.coordAt(1), 20);
-    EXPECT_EQ(top.coordAt(2), 90);
-    EXPECT_EQ(top.payloadAt(1).fiber()->coordAt(0), 25);
-}
-
 TEST(Transform, FlattenThenOccupancyMatchesFigure2Flow)
 {
     // Figure 2: flatten ranks M, K of A then partition to equalize
@@ -465,6 +451,362 @@ TEST_P(TransformProperty, OccupancySplitBalancesWithinOne)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransformProperty,
                          ::testing::Range(0, 8));
+
+
+// ------------------------------------------------------------------
+// Flat transforms against naive references. The references are the
+// direct definitions: a swizzle rebuilds the tree point by point from
+// its permuted leaves, a split or flatten deep-copies the tree and
+// rebuilds the fibers of one level. The fast transforms must produce
+// the same tree element for element: coordinates, order, payload
+// kinds, values, fiber shapes and rank metadata.
+
+/** Every detail of a tensor's structure, as a string. */
+std::string
+structureDigest(const Tensor& t)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << t.name();
+    for (const RankInfo& r : t.ranks()) {
+        os << "|" << r.id << ":" << r.shape;
+        for (std::size_t i = 0; i < r.flatIds.size(); ++i)
+            os << "," << r.flatIds[i] << "/" << r.flatShapes[i];
+    }
+    const std::function<void(const Fiber*)> dump = [&](const Fiber* f) {
+        if (f == nullptr) {
+            os << "null";
+            return;
+        }
+        os << "{" << f->shape();
+        for (std::size_t pos = 0; pos < f->size(); ++pos) {
+            os << " " << f->coordAt(pos) << ":";
+            const Payload& p = f->payloadAt(pos);
+            if (p.isValue())
+                os << p.value();
+            else
+                dump(p.fiber().get());
+        }
+        os << "}";
+    };
+    dump(t.root().get());
+    return os.str();
+}
+
+Tensor
+refSwizzle(const Tensor& t, const std::vector<std::string>& order)
+{
+    std::vector<std::size_t> perm;
+    std::vector<RankInfo> ranks;
+    for (const std::string& id : order) {
+        perm.push_back(static_cast<std::size_t>(t.rankLevel(id)));
+        ranks.push_back(t.rank(perm.back()));
+    }
+    Tensor out(t.name(), ranks);
+    t.forEachLeaf([&](std::span<const Coord> p, Value v) {
+        std::vector<Coord> q;
+        for (std::size_t level : perm)
+            q.push_back(p[level]);
+        out.set(q, v);
+    });
+    return out;
+}
+
+/** Deep copy of @p f whose fibers at depth @p level are replaced by
+ *  @p fn(fiber). */
+FiberPtr
+refRebuild(const Fiber& f, std::size_t level,
+           const std::function<FiberPtr(const Fiber&)>& fn)
+{
+    if (level == 0)
+        return fn(f);
+    auto copy = std::make_shared<Fiber>(f.shape());
+    for (std::size_t pos = 0; pos < f.size(); ++pos) {
+        const Payload& p = f.payloadAt(pos);
+        copy->append(f.coordAt(pos),
+                     p.isValue() ? p
+                                 : Payload(refRebuild(*p.fiber(), level - 1,
+                                                      fn)));
+    }
+    return copy;
+}
+
+Tensor
+refSplit(const Tensor& t, const std::string& rank, const std::string& upper,
+         const std::string& lower,
+         const std::function<std::vector<Coord>(const Fiber&)>& starts_of)
+{
+    const auto level = static_cast<std::size_t>(t.rankLevel(rank));
+    const Coord shape = t.rank(level).shape;
+    std::vector<RankInfo> ranks = t.ranks();
+    ranks[level].id = lower;
+    ranks.insert(ranks.begin() + static_cast<std::ptrdiff_t>(level),
+                 t.rank(level));
+    ranks[level].id = upper;
+    Tensor out(t.name(), ranks);
+    out.root() = refRebuild(*t.root(), level, [&](const Fiber& f) {
+        auto split = std::make_shared<Fiber>(shape);
+        const std::vector<Coord> starts = starts_of(f);
+        for (std::size_t j = 0; j < starts.size(); ++j) {
+            const Coord end = j + 1 < starts.size() ? starts[j + 1] : shape;
+            auto part = std::make_shared<Fiber>(shape);
+            for (std::size_t pos = 0; pos < f.size(); ++pos) {
+                const Coord c = f.coordAt(pos);
+                if (c >= starts[j] && c < end)
+                    part->append(c, Payload(f.payloadAt(pos).isValue()
+                                                ? f.payloadAt(pos)
+                                                : Payload(f.payloadAt(pos)
+                                                              .fiber()
+                                                              ->clone())));
+            }
+            if (!part->empty())
+                split->append(starts[j], Payload(part));
+        }
+        return split;
+    });
+    return out;
+}
+
+Tensor
+refFlatten(const Tensor& t, const std::string& upper,
+           const std::string& lower)
+{
+    const auto level = static_cast<std::size_t>(t.rankLevel(upper));
+    const RankInfo& ru = t.rank(level);
+    const RankInfo& rl = t.rank(level + 1);
+    RankInfo flat{ru.id + rl.id, ru.shape * rl.shape, {}, {}};
+    for (const RankInfo* r : {&ru, &rl}) {
+        if (r->isFlattened()) {
+            flat.flatIds.insert(flat.flatIds.end(), r->flatIds.begin(),
+                                r->flatIds.end());
+            flat.flatShapes.insert(flat.flatShapes.end(),
+                                   r->flatShapes.begin(),
+                                   r->flatShapes.end());
+        } else {
+            flat.flatIds.push_back(r->id);
+            flat.flatShapes.push_back(r->shape);
+        }
+    }
+    std::vector<RankInfo> ranks = t.ranks();
+    ranks[level] = flat;
+    ranks.erase(ranks.begin() + static_cast<std::ptrdiff_t>(level) + 1);
+    Tensor out(t.name(), ranks);
+    out.root() = refRebuild(*t.root(), level, [&](const Fiber& f) {
+        auto merged = std::make_shared<Fiber>(flat.shape);
+        for (std::size_t pos = 0; pos < f.size(); ++pos) {
+            const Fiber& child = *f.payloadAt(pos).fiber();
+            for (std::size_t c = 0; c < child.size(); ++c) {
+                const Payload& p = child.payloadAt(c);
+                merged->append(f.coordAt(pos) * rl.shape + child.coordAt(c),
+                               p.isValue() ? p : Payload(p.fiber()->clone()));
+            }
+        }
+        return merged;
+    });
+    return out;
+}
+
+/**
+ * A random tensor of @p ranks ranks with coordinates below @p extent:
+ * explicit zero leaves, and (with @p empties) empty subfibers hung at
+ * random depths.
+ */
+Tensor
+randomTensor(Xoshiro256& rng, std::size_t ranks, Coord extent,
+             bool empties)
+{
+    static const char* const kIds[] = {"A", "B", "C", "D"};
+    std::vector<std::string> ids;
+    std::vector<Coord> shape;
+    for (std::size_t i = 0; i < ranks; ++i) {
+        ids.push_back(kIds[i]);
+        shape.push_back(
+            1 + static_cast<Coord>(rng.below(
+                    static_cast<std::uint64_t>(extent))));
+    }
+    Tensor t("R", ids, shape);
+    const std::size_t points = rng.below(60);
+    for (std::size_t n = 0; n < points; ++n) {
+        std::vector<Coord> p;
+        for (Coord s : shape)
+            p.push_back(static_cast<Coord>(
+                rng.below(static_cast<std::uint64_t>(s))));
+        t.set(p, rng.below(5) == 0 ? 0.0 : 1.0 + rng.uniform());
+    }
+    if (empties && ranks > 1) {
+        for (int n = 0; n < 3; ++n) {
+            // An empty fiber at depth d >= 1, below a random path.
+            const std::size_t d = 1 + rng.below(ranks - 1);
+            Fiber* f = t.root().get();
+            for (std::size_t level = 0; level < d; ++level) {
+                Payload& p = f->getOrInsert(static_cast<Coord>(
+                    rng.below(static_cast<std::uint64_t>(shape[level]))));
+                if (!p.isFiber() || p.fiber() == nullptr)
+                    p.setFiber(std::make_shared<Fiber>(shape[level + 1]));
+                f = p.fiber().get();
+            }
+        }
+    }
+    return t;
+}
+
+/** The fast result is the reference, element for element. */
+void
+expectSameTree(const Tensor& fast, const Tensor& ref)
+{
+    EXPECT_TRUE(fast.equals(ref));
+    EXPECT_EQ(structureDigest(fast), structureDigest(ref));
+}
+
+class FlatTransformProperty : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FlatTransformProperty, SwizzleEveryPermutationMatchesReference)
+{
+    Xoshiro256 rng(static_cast<std::uint64_t>(1000 + GetParam()));
+    for (std::size_t ranks = 1; ranks <= 4; ++ranks) {
+        const Tensor t = randomTensor(rng, ranks, 12, GetParam() % 2 == 1);
+        std::vector<std::string> order = t.rankIds();
+        std::sort(order.begin(), order.end());
+        do {
+            SCOPED_TRACE(::testing::PrintToString(order));
+            expectSameTree(swizzle(t, order), refSwizzle(t, order));
+        } while (std::next_permutation(order.begin(), order.end()));
+    }
+}
+
+TEST_P(FlatTransformProperty, SplitsMatchReference)
+{
+    Xoshiro256 rng(static_cast<std::uint64_t>(2000 + GetParam()));
+    for (std::size_t ranks = 1; ranks <= 4; ++ranks) {
+        const Tensor t = randomTensor(rng, ranks, 20, GetParam() % 2 == 1);
+        for (const std::string& rank : t.rankIds()) {
+            const Coord shape = t.rank(
+                static_cast<std::size_t>(t.rankLevel(rank))).shape;
+            for (Coord tile : {1, 3, 8}) {
+                SCOPED_TRACE(rank + " tile " + std::to_string(tile));
+                expectSameTree(
+                    splitRankByShape(t, rank, tile, "U", "L"),
+                    refSplit(t, rank, "U", "L", [&](const Fiber&) {
+                        std::vector<Coord> starts;
+                        for (Coord c = 0; c < shape; c += tile)
+                            starts.push_back(c);
+                        return starts;
+                    }));
+            }
+            for (std::size_t chunk : {1u, 2u, 5u}) {
+                SCOPED_TRACE(rank + " chunk " + std::to_string(chunk));
+                expectSameTree(
+                    splitRankByOccupancy(t, rank, chunk, "U", "L"),
+                    refSplit(t, rank, "U", "L", [&](const Fiber& f) {
+                        return occupancyBoundaries(f, chunk);
+                    }));
+            }
+        }
+    }
+}
+
+TEST_P(FlatTransformProperty, FlattenedRanksKeepTheirConstituents)
+{
+    Xoshiro256 rng(static_cast<std::uint64_t>(3000 + GetParam()));
+    const Tensor t = randomTensor(rng, 4, 10, GetParam() % 2 == 1);
+    // [A, B, C, D] -> [AB, C, D] -> [ABC, D]: nested flattening.
+    const Tensor ab = flattenRanks(t, "A", "B");
+    expectSameTree(ab, refFlatten(t, "A", "B"));
+    const Tensor abc = flattenRanks(ab, "AB", "C");
+    expectSameTree(abc, refFlatten(ab, "AB", "C"));
+    EXPECT_EQ(abc.rank(0).flatIds,
+              (std::vector<std::string>{"A", "B", "C"}));
+    // Swizzles and splits carry the flattened rank's metadata along.
+    for (const std::vector<std::string>& order :
+         {std::vector<std::string>{"D", "ABC"},
+          std::vector<std::string>{"ABC", "D"}}) {
+        const Tensor s = swizzle(abc, order);
+        expectSameTree(s, refSwizzle(abc, order));
+        const auto level =
+            static_cast<std::size_t>(s.rankLevel("ABC"));
+        EXPECT_EQ(s.rank(level).flatIds, abc.rank(0).flatIds);
+        EXPECT_EQ(s.rank(level).flatShapes, abc.rank(0).flatShapes);
+    }
+    expectSameTree(
+        splitRankByOccupancy(abc, "ABC", 3, "ABC1", "ABC0"),
+        refSplit(abc, "ABC", "ABC1", "ABC0", [](const Fiber& f) {
+            return occupancyBoundaries(f, 3);
+        }));
+}
+
+TEST_P(FlatTransformProperty, WideCoordinatesFallBackToComparisonSort)
+{
+    // Two ranks of 2^40 coordinates need 80 key bits; negative
+    // coordinates do not pack at all. Both take the comparison sort.
+    Xoshiro256 rng(static_cast<std::uint64_t>(4000 + GetParam()));
+    const Coord wide = Coord{1} << 40;
+    Tensor t("W", {"A", "B", "C"}, {wide, 7, wide});
+    for (int n = 0; n < 50; ++n) {
+        const Coord a = static_cast<Coord>(rng.below(1u << 20)) *
+                        static_cast<Coord>(1u << 19);
+        const Coord c = static_cast<Coord>(rng.below(1u << 30)) << 9;
+        const Coord b = static_cast<Coord>(rng.below(7));
+        const std::vector<Coord> p{n % 5 == 0 ? -a : a, b, c};
+        t.set(p, n % 4 == 0 ? 0.0 : static_cast<Value>(n));
+    }
+    std::vector<std::string> order = t.rankIds();
+    std::sort(order.begin(), order.end());
+    do {
+        expectSameTree(swizzle(t, order), refSwizzle(t, order));
+    } while (std::next_permutation(order.begin(), order.end()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatTransformProperty,
+                         ::testing::Range(0, 6));
+
+TEST(Transform, SplitsDropCoordinatesOutsideTheRank)
+{
+    // Elements below 0 or at/after the shape belong to no partition.
+    Tensor t("V", {"K"}, {10});
+    for (Coord c : {-4, -1, 0, 3, 9, 10, 12})
+        t.root()->append(c, Payload(static_cast<Value>(c)));
+    const auto tiles = [](const Fiber&) {
+        return std::vector<Coord>{0, 4, 8};
+    };
+    expectSameTree(splitRankByShape(t, "K", 4, "K1", "K0"),
+                   refSplit(t, "K", "K1", "K0", tiles));
+    EXPECT_EQ(splitRankByShape(t, "K", 4, "K1", "K0").nnz(), 3u);
+    expectSameTree(splitRankByOccupancy(t, "K", 2, "K1", "K0"),
+                   refSplit(t, "K", "K1", "K0", [](const Fiber& f) {
+                       return occupancyBoundaries(f, 2);
+                   }));
+}
+
+TEST(Transform, RvalueTransformsLeaveTheBorrowedSourceAlone)
+{
+    Xoshiro256 rng(77);
+    const Tensor src = randomTensor(rng, 3, 16, true);
+    const std::string before = structureDigest(src);
+    const std::uint64_t clones = Tensor::cloneCount();
+
+    // The planner's sequence: the first transform copies the borrowed
+    // source, later ones restructure that copy in place.
+    Tensor work = splitRankByOccupancy(src, "A", 2, "A1", "A0");
+    const Tensor ref1 = refSplit(src, "A", "A1", "A0", [](const Fiber& f) {
+        return occupancyBoundaries(f, 2);
+    });
+    expectSameTree(work, ref1);
+    work = splitRankByShape(std::move(work), "B", 4, "B1", "B0");
+    const Tensor ref2 = refSplit(ref1, "B", "B1", "B0", [&](const Fiber&) {
+        std::vector<Coord> starts;
+        for (Coord c = 0; c < ref1.rank(2).shape; c += 4)
+            starts.push_back(c);
+        return starts;
+    });
+    expectSameTree(work, ref2);
+    work = flattenRanks(std::move(work), "B0", "C");
+    expectSameTree(work, refFlatten(ref2, "B0", "C"));
+
+    EXPECT_EQ(structureDigest(src), before);
+    EXPECT_EQ(Tensor::cloneCount(), clones);
+}
 
 } // namespace
 } // namespace teaal::ft
